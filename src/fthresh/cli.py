@@ -11,6 +11,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -331,8 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves it
+    unchanged, and building it costs more than answering a cheap verb."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.run(args, parser)

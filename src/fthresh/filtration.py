@@ -23,11 +23,18 @@ Shipped rules:
 * ``BinomialSum(F, G)``            e_r = sum_i F_i * G_{r-i}
 * ``VeroneseAnnotation(F, d)``     F with the user assertion F_{kd} = (F_d)^k
 
+Every rule restricts: ``restrict(S)`` is the filtration of the images
+of the levels under x_j -> 1 for j outside S (restriction is a ring map,
+so it commutes with products, sums, intersections and integral closure),
+or None when every positive level maps to the unit ideal.  The nu engine
+evaluates nu against each irreducible component of a target through the
+restriction to the component's support.
+
 Each rule also reports a positive ``degree_slope`` delta with
-min-degree(a_r) >= delta * r (used to bound witness searches) and
-pigeonhole ``admissibility`` constants (h, c) such that
-a_{(h+m)q + c} subseteq a_{m+1}^{[q]} for all m, q = p^e (used to bound
-containment searches on the general nu path).
+min-degree(a_r) >= delta * r and pigeonhole ``admissibility`` constants
+(h, c) such that a_{(h+m)q + c} subseteq a_{m+1}^{[q]} for all m,
+q = p^e: the constants behind the paper's existence results, checked
+level by level by ``is_admissible_witness``.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 import itertools
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -141,6 +148,14 @@ class Filtration(ABC):
         """Radical of a_1 (= radical of every positive level)."""
         return self.level(1).radical()
 
+    def restrict(self, keep: frozenset[int]) -> "Filtration | None":
+        """Levels under x_j -> 1 for j outside keep, in the same ring; None
+        when every positive level maps to the unit ideal (exactly when some
+        generator of a_1 involves no variable of keep)."""
+        raise UnsupportedInputError(
+            f"{type(self).__name__} does not support restriction"
+        )
+
     # -- serialization / embedding ---------------------------------------- #
 
     @abstractmethod
@@ -165,6 +180,13 @@ def _require_usable_base(ideal: MonomialIdeal, *, allow_zero: bool = True) -> No
         )
     if ideal.is_zero() and not allow_zero:
         raise UnsupportedInputError("rule needs a nonzero ideal")
+
+
+def _restrict_base(rule, keep: frozenset[int]) -> "Filtration | None":
+    """restrict() of a rule given by one base ideal: the same rule on the
+    restricted ideal."""
+    ideal = rule.ideal.restrict(keep)
+    return None if ideal.is_unit() else replace(rule, ideal=ideal)
 
 
 @dataclass(frozen=True)
@@ -198,6 +220,8 @@ class OrdinaryPowers(Filtration):
 
     def support(self) -> frozenset[int]:
         return self.ideal.support_vars()
+
+    restrict = _restrict_base
 
     def to_json(self) -> dict:
         return {"rule": "ordinary", "ideal": self.ideal.to_json()}
@@ -251,6 +275,10 @@ class SymbolicSquarefree(Filtration):
 
     def support(self) -> frozenset[int]:
         return self.ideal.support_vars()
+
+    # the restricted ideal is square-free and its minimal primes are the
+    # minimal primes of the ideal inside keep
+    restrict = _restrict_base
 
     def to_json(self) -> dict:
         return {"rule": "symbolic", "ideal": self.ideal.to_json()}
@@ -341,6 +369,11 @@ class PrimePowerIntersection(Filtration):
             out |= supp
         return frozenset(out)
 
+    def restrict(self, keep: frozenset[int]) -> "PrimePowerIntersection | None":
+        # a prime with a variable outside keep maps to the unit ideal
+        comps = tuple(c for c in self.components if c[0] <= keep)
+        return PrimePowerIntersection(self.nvars, comps) if comps else None
+
     def to_json(self) -> dict:
         return {
             "rule": "prime_power_intersection",
@@ -393,6 +426,8 @@ class IntegralClosurePowers(Filtration):
     def support(self) -> frozenset[int]:
         return self.ideal.support_vars()
 
+    restrict = _restrict_base
+
     def to_json(self) -> dict:
         return {"rule": "integral_closure", "ideal": self.ideal.to_json()}
 
@@ -435,6 +470,8 @@ class CeilingPower(Filtration):
     def support(self) -> frozenset[int]:
         return self.ideal.support_vars()
 
+    restrict = _restrict_base
+
     def to_json(self) -> dict:
         return {
             "rule": "ceiling",
@@ -454,6 +491,15 @@ class CeilingPower(Filtration):
 def _check_same_ambient(left: Filtration, right: Filtration) -> None:
     if left.nvars != right.nvars:
         raise AmbientMismatchError("component filtrations live in different rings")
+
+
+def _restrict_unit_absorbing(rule, keep: frozenset[int]) -> "Filtration | None":
+    """restrict() of a product or intersection: a side whose positive
+    levels all map to the unit ideal drops out, leaving the other side."""
+    left, right = rule.left.restrict(keep), rule.right.restrict(keep)
+    if left is None or right is None:
+        return right if left is None else left
+    return type(rule)(left, right)
 
 
 @dataclass(frozen=True)
@@ -505,6 +551,9 @@ class ProductFiltration(Filtration):
     def support(self) -> frozenset[int]:
         return self.left.support() | self.right.support()
 
+    def restrict(self, keep: frozenset[int]) -> "Filtration | None":
+        return _restrict_unit_absorbing(self, keep)
+
     def to_json(self) -> dict:
         return {
             "rule": "product",
@@ -548,6 +597,9 @@ class IntersectionFiltration(Filtration):
 
     def support(self) -> frozenset[int]:
         return self.left.support() | self.right.support()
+
+    def restrict(self, keep: frozenset[int]) -> "Filtration | None":
+        return _restrict_unit_absorbing(self, keep)
 
     def to_json(self) -> dict:
         return {
@@ -608,6 +660,13 @@ class BinomialSum(Filtration):
     def support(self) -> frozenset[int]:
         return self.left.support() | self.right.support()
 
+    def restrict(self, keep: frozenset[int]) -> "BinomialSum | None":
+        # e_r contains a_r and b_r, so a unit side makes every e_r the unit
+        left, right = self.left.restrict(keep), self.right.restrict(keep)
+        if left is None or right is None:
+            return None
+        return BinomialSum(left, right)
+
     def to_json(self) -> dict:
         return {
             "rule": "binomial_sum",
@@ -658,6 +717,10 @@ class VeroneseAnnotation(Filtration):
 
     def support(self) -> frozenset[int]:
         return self.base.support()
+
+    def restrict(self, keep: frozenset[int]) -> "VeroneseAnnotation | None":
+        base = self.base.restrict(keep)
+        return None if base is None else VeroneseAnnotation(base, self.degree)
 
     def verify(self, k_max: int = 4) -> bool:
         """Check a_{k d} = (a_d)^k for k = 1..k_max."""
@@ -771,6 +834,10 @@ def is_admissible_witness(
 # ---------------------------------------------------------------------- #
 
 def filtration_from_json(data: dict) -> Filtration:
+    if not isinstance(data, dict):
+        raise UnsupportedInputError(
+            f"a filtration descriptor is a JSON object, not {type(data).__name__}"
+        )
     rule = data.get("rule")
     if rule == "ordinary":
         return OrdinaryPowers(MonomialIdeal.from_json(data["ideal"]))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import AmbientMismatchError, UnsupportedInputError
+from .errors import AmbientMismatchError, SizeGuardError, UnsupportedInputError
 
 __all__ = [
     "Monomial",
@@ -363,6 +363,16 @@ class MonomialIdeal:
     def embed(self, nvars: int, offset: int = 0) -> "MonomialIdeal":
         return MonomialIdeal(nvars, (g.embed(nvars, offset) for g in self.gens))
 
+    def restrict(self, keep: frozenset[int]) -> "MonomialIdeal":
+        """Image under x_j -> 1 for every j outside keep, in the same ring."""
+        return MonomialIdeal(
+            self.nvars,
+            (
+                Monomial(e if j in keep else 0 for j, e in enumerate(g.exps))
+                for g in self.gens
+            ),
+        )
+
     # ------------------------------------------------------------------ #
     # combinatorics of square-free ideals
     # ------------------------------------------------------------------ #
@@ -394,6 +404,20 @@ class MonomialIdeal:
         if not self.is_square_free():
             raise UnsupportedInputError("big_height implemented for square-free ideals")
         return max(len(p) for p in self.minimal_primes())
+
+    def irreducible_components(
+        self,
+    ) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
+        """The irredundant irreducible decomposition I = cap_j Q_j.
+
+        Each component Q_j = (x_i^{b_i} : i in S_j) is returned as the pair
+        (S_j, b_j) with b_j an exponent vector that is zero outside S_j.
+        The unit ideal has no components; the zero ideal is its own single
+        component, with empty support.
+        """
+        if self.is_unit():
+            return ()
+        return _irreducible_components(self)
 
     # ------------------------------------------------------------------ #
     # membership level (largest r with u in I^r)
@@ -489,32 +513,76 @@ def minimal_transversals(
     return tuple(sorted(current, key=lambda s: (len(s), sorted(s))))
 
 
+def _max_power_dp(
+    gens: tuple[tuple[int, ...], ...],
+    memo: dict[tuple[tuple[int, ...], int], int],
+    res: tuple[int, ...],
+    i: int,
+) -> int:
+    """Max number of generators from gens[i:] whose product divides x^res.
+
+    A module-level function rather than a closure over memo: a closure
+    that calls itself is a reference cycle, which would keep each call's
+    memo alive until the next full garbage collection.
+    """
+    if i == len(gens):
+        return 0
+    key = (res, i)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    # skip generator i
+    out = _max_power_dp(gens, memo, res, i + 1)
+    g = gens[i]
+    if all(a <= b for a, b in zip(g, res)):
+        rest = tuple(b - a for a, b in zip(g, res))
+        out = max(out, 1 + _max_power_dp(gens, memo, rest, i))
+    memo[key] = out
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _irreducible_components(
+    ideal: MonomialIdeal,
+) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
+    """Split on a mixed generator x_j^a * m' (a = its x_j exponent, m' != 1):
+    I = (I + x_j^a) cap (I + m'), until every generator is a pure power;
+    then drop each component that contains another (irreducible monomial
+    ideals are meet-prime, so what is left is irredundant).
+    Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 5."""
+    n = ideal.nvars
+    found: set[tuple[int, ...]] = set()
+    stack = [ideal]
+    while stack:
+        cur = stack.pop()
+        mixed = next((g for g in cur.gens if len(g.support()) > 1), None)
+        if mixed is None:
+            b = [0] * n
+            for g in cur.gens:
+                (j,) = g.support()
+                b[j] = g.exps[j]
+            found.add(tuple(b))
+            continue
+        j = min(mixed.support())
+        head = [0] * n
+        head[j] = mixed.exps[j]
+        tail = list(mixed.exps)
+        tail[j] = 0
+        stack.append(cur + MonomialIdeal(n, (Monomial(head),)))
+        stack.append(cur + MonomialIdeal(n, (Monomial(tail),)))
+
+    def inside(b: tuple[int, ...], c: tuple[int, ...]) -> bool:
+        # Q_b subseteq Q_c: every x_i^{b_i} is divisible by x_i^{c_i}
+        return all(c[i] and c[i] <= b[i] for i in range(n) if b[i])
+
+    kept = [c for c in found if not any(b != c and inside(b, c) for b in found)]
+    kept.sort(key=lambda b: (sorted(i for i in range(n) if b[i]), b))
+    return tuple((frozenset(i for i in range(n) if b[i]), b) for b in kept)
+
+
 @lru_cache(maxsize=16384)
 def _max_power_cached(ideal: MonomialIdeal, u: Monomial) -> int:
-    gens = ideal.gens
-    degs = [g.degree() for g in gens]
-    alpha = min(degs)
-    memo: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def best(res: tuple[int, ...], i: int) -> int:
-        # max number of generators from gens[i:] whose product divides x^res
-        if i == len(gens):
-            return 0
-        key = (res, i)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        # skip generator i
-        out = best(res, i + 1)
-        g = gens[i].exps
-        if all(a <= b for a, b in zip(g, res)):
-            out = max(out, 1 + best(tuple(b - a for a, b in zip(g, res)), i))
-        memo[key] = out
-        return out
-
-    # quick degree-based upper bound short-circuits nothing but keeps the
-    # recursion honest; the DP is exact.
-    return best(u.exps, 0)
+    return _max_power_dp(tuple(g.exps for g in ideal.gens), {}, u.exps, 0)
 
 
 def max_power_membership(ideal: MonomialIdeal, u: Monomial) -> int:
@@ -522,8 +590,15 @@ def max_power_membership(ideal: MonomialIdeal, u: Monomial) -> int:
 
     Solved as a bounded integer program by memoized recursion over the
     residual exponent vector (generator order fixed to avoid permutation
-    blowup).
+    blowup).  The recursion is one frame deep per generator used, so a
+    witness of very high degree raises ``SizeGuardError``.
     """
     if ideal.is_zero() or ideal.is_unit():
         raise UnsupportedInputError("max_power_membership needs a nonzero proper ideal")
-    return _max_power_cached(ideal, u)
+    try:
+        return _max_power_cached(ideal, u)
+    except RecursionError:
+        raise SizeGuardError(
+            f"membership search for a monomial of degree {u.degree()} in a "
+            f"non-pure-power ideal is too deep; reduce p^e"
+        ) from None

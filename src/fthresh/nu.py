@@ -7,17 +7,17 @@ For a filtration a_bullet, a target ideal I and q = p^e,
 and the F-threshold is the limit (= sup, by the doubling inequality
 p * nu(p^e) <= nu(p^{e+1}) valid over polynomial rings) of nu(q)/q.
 
-Two evaluation paths:
-
-* witness path -- when I = (x1^{m1}, .., xn^{mn}) is generated by pure
-  powers of *all* variables, a_r is not contained in I^[q] exactly when
-  the single witness monomial x^(q*m - 1) lies in a_r, so nu(q) is the
-  witness level of that monomial (exact closed forms per rule);
-* general path -- binary search for the first level contained in I^[q],
-  with a sound cutoff derived from pigeonhole admissibility constants
-  (h, c) and a discovered containment a_k subseteq I.  When the radical
-  of the filtration is not inside the radical of the target the answer
-  is +infinity, certified.
+One evaluation path, for every monomial target.  Write the target as
+the intersection of its irreducible components
+Q_j = (x_i^{b_i} : i in S_j).  Then I^[q] = cap_j Q_j^[q], so
+nu^I(q) = max_j nu^{Q_j}(q) (the form of nu^J in Mustata-Takagi-Watanabe).
+A level a_r is not contained in Q_j^[q] exactly when the single witness
+monomial x^(q*b_j - 1) on S_j lies in the restriction of a_r under
+x_i -> 1 for i outside S_j, so nu^{Q_j}(q) is the witness level of that
+monomial in the restricted filtration (exact closed forms per rule).
+When some restriction is the unit ideal at every positive level, the
+radical of the filtration is not inside the radical of the target and
+the answer is +infinity, certified.
 
 Exact threshold routes: Rees valuations / the threshold LP for ordinary
 and integral-closure powers, height for symbolic powers of square-free
@@ -77,7 +77,6 @@ __all__ = [
 ]
 
 _FACET_ROUTE_BUDGET = 5_000
-_DEFAULT_CONTAINMENT_K_CAP = 64
 
 
 def _require_prime(p: int) -> None:
@@ -138,9 +137,6 @@ def nu_value(
     target: MonomialIdeal,
     p: int,
     e: int,
-    *,
-    max_level: int | None = None,
-    force_general: bool = False,
 ) -> NuRecord:
     """nu_{a_bullet}^{target}(p^e), exact."""
     _require_prime(p)
@@ -158,66 +154,23 @@ def nu_value(
             return NuRecord(e, q, "finite", 0, Fraction(0), "zero filtration")
         return NuRecord(e, q, "infinite", None, None, "nonzero filtration, zero target")
 
-    pure = target.pure_power_all_vars()
-    if pure is not None and not force_general:
-        witness = Monomial(q * pure[j] - 1 for j in range(filtration.nvars))
-        nu = filtration.witness_level(witness)
-        return NuRecord(e, q, "finite", nu, Fraction(nu, q), "witness")
-
-    return _nu_general(filtration, target, e, q, max_level)
-
-
-def _nu_general(
-    filtration: Filtration,
-    target: MonomialIdeal,
-    e: int,
-    q: int,
-    max_level: int | None,
-) -> NuRecord:
-    bracket = target.bracket_power(q)
-    if not target.radical().contains_ideal(filtration.radical()):
-        return NuRecord(
-            e, q, "infinite", None, None,
-            "radical of filtration not inside radical of target",
-        )
-
-    certified = True
-    if max_level is not None:
-        cutoff = max_level
-        certified = False
-    else:
-        k = None
-        for cand in range(1, _DEFAULT_CONTAINMENT_K_CAP + 1):
-            if target.contains_ideal(filtration.level(cand)):
-                k = cand
-                break
-        if k is None:
-            cutoff = 64 * q + 64
-            certified = False
-        else:
-            h, c = filtration.admissibility()
-            cutoff = max((h + k - 1) * q + c, 1)
-
-    def contained(r: int) -> bool:
-        return bracket.contains_ideal(filtration.level(r))
-
-    if not contained(cutoff):
-        if certified:
-            raise FThreshError(
-                "internal error: certified admissibility cutoff not contained"
+    # restrict to every component first: one None decides nu = infinite
+    # before any witness search runs
+    n = filtration.nvars
+    restricted = []
+    for keep, b in target.irreducible_components():
+        f = filtration if len(keep) == n else filtration.restrict(keep)
+        if f is None:
+            return NuRecord(
+                e, q, "infinite", None, None,
+                "radical of filtration not inside radical of target",
             )
-        return NuRecord(
-            e, q, "infinite", None, None,
-            f"no containment found up to level {cutoff} (cutoff, uncertified)",
-        )
-    lo, hi = 0, cutoff  # level 0 = R is never inside a proper bracket power
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if contained(mid):
-            hi = mid
-        else:
-            lo = mid
-    return NuRecord(e, q, "finite", lo, Fraction(lo, q), "generators")
+        restricted.append((f, b))
+    nu = max(
+        f.witness_level(Monomial(max(q * x - 1, 0) for x in b))
+        for f, b in restricted
+    )
+    return NuRecord(e, q, "finite", nu, Fraction(nu, q), "witness")
 
 
 def nu_sequence(
@@ -225,12 +178,9 @@ def nu_sequence(
     target: MonomialIdeal,
     p: int,
     e_max: int,
-    **kwargs,
 ) -> NuSequence:
     """nu records for e = 0..e_max; asserts the doubling inequality."""
-    records = [
-        nu_value(filtration, target, p, e, **kwargs) for e in range(e_max + 1)
-    ]
+    records = [nu_value(filtration, target, p, e) for e in range(e_max + 1)]
     for prev, cur in zip(records, records[1:]):
         if prev.finite and cur.finite:
             assert prev.nu is not None and cur.nu is not None

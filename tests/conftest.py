@@ -4,11 +4,25 @@ small independent oracles used across test modules."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from fthresh import Hypergraph, MonomialIdeal
+from fthresh import (
+    BinomialSum,
+    CeilingPower,
+    Filtration,
+    Hypergraph,
+    IntegralClosurePowers,
+    IntersectionFiltration,
+    MonomialIdeal,
+    OrdinaryPowers,
+    PrimePowerIntersection,
+    ProductFiltration,
+    SymbolicSquarefree,
+    VeroneseAnnotation,
+)
 
 
 def random_ideal(
@@ -89,6 +103,77 @@ def naive_power_member(ideal: MonomialIdeal, exps: tuple[int, ...], r: int) -> b
         return ans
 
     return go(tuple(exps), r)
+
+
+def random_filtration(rng: random.Random, nvars: int, depth: int = 1) -> Filtration:
+    """A small random filtration of any of the nine rules; composite rules
+    nest base rules up to the given depth."""
+    kinds = ["ordinary", "symbolic", "prime_power", "closure", "ceiling"]
+    if depth > 0:
+        kinds += ["product", "intersection", "binomial_sum", "veronese"]
+    kind = rng.choice(kinds)
+    if kind == "ordinary":
+        return OrdinaryPowers(random_ideal(rng, nvars, 3, 2))
+    if kind == "symbolic":
+        return SymbolicSquarefree(random_squarefree_ideal(rng, nvars, 3))
+    if kind == "prime_power":
+        comps = [
+            (frozenset(rng.sample(range(nvars), rng.randint(1, nvars))), rng.randint(1, 2))
+            for _ in range(rng.randint(1, 2))
+        ]
+        return PrimePowerIntersection(nvars, comps)
+    if kind == "closure":
+        return IntegralClosurePowers(random_ideal(rng, nvars, 2, 2))
+    if kind == "ceiling":
+        beta = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        return CeilingPower(random_ideal(rng, nvars, 2, 2), beta)
+    if kind == "veronese":
+        return VeroneseAnnotation(random_filtration(rng, nvars, depth - 1), rng.randint(1, 2))
+    rule = {
+        "product": ProductFiltration,
+        "intersection": IntersectionFiltration,
+        "binomial_sum": BinomialSum,
+    }[kind]
+    return rule(random_filtration(rng, nvars, depth - 1), random_filtration(rng, nvars, depth - 1))
+
+
+def general_path_nu(
+    filtration: Filtration, target: MonomialIdeal, p: int, e: int
+) -> tuple[str, int | None]:
+    """Brute-force nu oracle for a proper nonzero target: binary search over
+    materialized levels for the first one inside target^[q].
+
+    nu is infinite when the radical of the filtration is not inside the
+    radical of the target.  Otherwise find the first containment a_k in
+    the target (k <= 64); with the filtration's admissibility constants
+    (h, c), level (h + k - 1) q + c is inside target^[q], which bounds the
+    search.  Returns (status, nu)."""
+    q = p**e
+    if not target.radical().contains_ideal(filtration.radical()):
+        return "infinite", None
+    k = next(
+        (k for k in range(1, 65) if target.contains_ideal(filtration.level(k))),
+        None,
+    )
+    if k is None:
+        raise AssertionError(f"no level up to 64 inside the target for {filtration}")
+    h, c = filtration.admissibility()
+    bracket = target.bracket_power(q)
+
+    def contained(r: int) -> bool:
+        return bracket.contains_ideal(filtration.level(r))
+
+    cutoff = max((h + k - 1) * q + c, 1)
+    if not contained(cutoff):
+        raise AssertionError(f"admissibility cutoff {cutoff} not contained for {filtration}")
+    lo, hi = 0, cutoff  # level 0 = R is never inside a proper bracket power
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if contained(mid):
+            hi = mid
+        else:
+            lo = mid
+    return "finite", lo
 
 
 @pytest.fixture

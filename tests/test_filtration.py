@@ -3,6 +3,7 @@ axioms, admissibility witnesses, and JSON round trips."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -26,7 +27,7 @@ from fthresh import (
     verify_filtration_axioms,
 )
 
-from conftest import random_ideal, random_squarefree_ideal
+from conftest import random_filtration, random_ideal, random_squarefree_ideal
 
 F = Fraction
 xy = MonomialIdeal.from_exponents
@@ -219,6 +220,31 @@ def test_zero_filtration_allowed():
         OrdinaryPowers(MonomialIdeal.unit(2))
 
 
+def test_restrict_commutes_with_levels(rng):
+    """f.restrict(S).level(r) is the image of f.level(r) under x_j -> 1 for
+    j outside S, and restrict returns None exactly when that image is the
+    unit ideal, for every rule and every S."""
+    filtrations = sample_filtrations() + [
+        random_filtration(rng, rng.randint(1, 3)) for _ in range(40)
+    ]
+    kinds = set()
+    for f in filtrations:
+        kinds.add(type(f))
+        n = f.nvars
+        assert f.restrict(frozenset(range(n))) == f
+        for size in range(n + 1):
+            for keep in map(frozenset, combinations(range(n), size)):
+                g = f.restrict(keep)
+                for r in (1, 2, 3):
+                    image = f.level(r).restrict(keep)
+                    if g is None:
+                        assert image.is_unit(), (f, keep, r)
+                    else:
+                        assert g.level(r) == image, (f, keep, r)
+                        assert not image.is_unit()
+    assert len(kinds) == 9
+
+
 def test_json_round_trip_all_rules():
     for f in sample_filtrations():
         data = f.to_json()
@@ -227,6 +253,11 @@ def test_json_round_trip_all_rules():
         assert back.to_json() == data
     with pytest.raises(UnsupportedInputError):
         filtration_from_json({"rule": "no-such-rule"})
+    for not_an_object in ([1], "ordinary", 3, None):
+        with pytest.raises(UnsupportedInputError):
+            filtration_from_json(not_an_object)
+    with pytest.raises(UnsupportedInputError):
+        filtration_from_json({"rule": "product", "left": [1], "right": {}})
 
 
 def test_embed_consistency():

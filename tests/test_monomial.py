@@ -1,14 +1,22 @@
 """Monomial and MonomialIdeal arithmetic against small independent oracles."""
 
+import gc
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fthresh import AmbientMismatchError, Monomial, MonomialIdeal, minimal_transversals
-from fthresh.monomial import max_power_membership
+from fthresh import (
+    AmbientMismatchError,
+    Monomial,
+    MonomialIdeal,
+    SizeGuardError,
+    minimal_transversals,
+)
+from fthresh.monomial import _max_power_cached, max_power_membership
 
 from conftest import naive_power_member, random_ideal
 
@@ -157,6 +165,75 @@ def test_max_power_membership_matches_method(rng):
         assert max_power_membership(ideal, Monomial(u)) == ideal.membership_level(
             Monomial(u)
         )
+
+
+def test_membership_call_leaves_no_garbage():
+    """The DP memo is freed on return, not left in a reference cycle for
+    the garbage collector."""
+    ideal = xy(2, [[1, 1], [2, 0], [0, 3]])
+    _max_power_cached.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        assert max_power_membership(ideal, m([37, 41])) == 38
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_deep_membership_raises_size_guard():
+    ideal = xy(2, [[1, 1], [2, 0], [0, 3]])
+    with pytest.raises(SizeGuardError):
+        max_power_membership(ideal, m([2**12 - 1, 2**12 - 1]))
+
+
+def _component_ideal(nvars, b):
+    return xy(nvars, [[b[i] if j == i else 0 for j in range(nvars)] for i in range(nvars) if b[i]])
+
+
+def test_irreducible_components_hand_cases():
+    # (x1^2, x1 x2, x2^3) = (x1, x2^3) cap (x1^2, x2)
+    assert xy(2, [[2, 0], [1, 1], [0, 3]]).irreducible_components() == (
+        (frozenset({0, 1}), (1, 3)),
+        (frozenset({0, 1}), (2, 1)),
+    )
+    # (x1 x2, x2 x3) = (x1, x3) cap (x2): not m-primary
+    assert xy(3, [[1, 1, 0], [0, 1, 1]]).irreducible_components() == (
+        (frozenset({0, 2}), (1, 0, 1)),
+        (frozenset({1}), (0, 1, 0)),
+    )
+    # (x1^2 x2) = (x1^2) cap (x2)
+    assert xy(2, [[2, 1]]).irreducible_components() == (
+        (frozenset({0}), (2, 0)),
+        (frozenset({1}), (0, 1)),
+    )
+    pure = xy(3, [[0, 2, 0], [0, 0, 3]])
+    assert pure.irreducible_components() == ((frozenset({1, 2}), (0, 2, 3)),)
+    assert MonomialIdeal.unit(2).irreducible_components() == ()
+    assert MonomialIdeal.zero(2).irreducible_components() == ((frozenset(), (0, 0)),)
+
+
+def test_irreducible_components_intersect_irredundantly(rng):
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        ideal = random_ideal(rng, n, max_gens=4, max_exp=3)
+        comps = ideal.irreducible_components()
+        parts = []
+        for keep, b in comps:
+            assert keep == frozenset(i for i in range(n) if b[i])
+            parts.append(_component_ideal(n, b))
+        assert reduce(MonomialIdeal.intersect, parts) == ideal
+        for j in range(len(parts)):
+            others = parts[:j] + parts[j + 1 :]
+            if others:
+                assert reduce(MonomialIdeal.intersect, others) != ideal
+
+
+def test_restrict_sets_variables_to_one():
+    ideal = xy(3, [[2, 1, 0], [0, 1, 3], [1, 0, 1]])
+    assert ideal.restrict(frozenset({0, 2})) == xy(3, [[2, 0, 0], [0, 0, 3], [1, 0, 1]])
+    assert ideal.restrict(frozenset({1})).is_unit()
+    assert ideal.restrict(frozenset({0, 1, 2})) == ideal
 
 
 def test_valuation():

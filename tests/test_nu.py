@@ -1,6 +1,6 @@
-"""The nu engine: witness path vs general path, degenerate conventions,
-threshold routing with certificates, structural laws, and the big-height
-criterion."""
+"""The nu engine against a brute-force general-path oracle, degenerate
+conventions, threshold routing with certificates, structural laws, and
+the big-height criterion."""
 
 from fractions import Fraction
 
@@ -38,6 +38,8 @@ from fthresh import (
 )
 from fthresh.nu import threshold_attainment_report
 
+from conftest import general_path_nu, random_filtration, random_ideal
+
 F = Fraction
 xy = MonomialIdeal.from_exponents
 
@@ -73,7 +75,7 @@ def test_validation():
 
 def test_witness_path_against_general_path(rng):
     """Same answers through the closed-form witness route and the
-    generator-containment route."""
+    generator-containment oracle."""
     m2 = MonomialIdeal.maximal(2)
     m3 = MonomialIdeal.maximal(3)
     cases = [
@@ -98,9 +100,8 @@ def test_witness_path_against_general_path(rng):
     for f, target in cases:
         for p, e in [(2, 1), (2, 2), (3, 1), (2, 3)]:
             fast = nu_value(f, target, p, e)
-            slow = nu_value(f, target, p, e, force_general=True)
-            assert fast.status == slow.status == "finite"
-            assert fast.nu == slow.nu, (f, p, e, fast.nu, slow.nu)
+            assert fast.status == "finite"
+            assert general_path_nu(f, target, p, e) == ("finite", fast.nu), (f, p, e)
 
 
 def test_witness_path_on_non_maximal_pure_target():
@@ -111,12 +112,12 @@ def test_witness_path_on_non_maximal_pure_target():
         q = p**e
         fast = nu_value(f, target, p, e)
         assert fast.nu == 2 * q - 1
-        slow = nu_value(f, target, p, e, force_general=True)
-        assert slow.nu == fast.nu
+        assert general_path_nu(f, target, p, e) == ("finite", fast.nu)
 
 
 def test_general_path_infinite_certified():
-    # filtration of powers of (x) can never sit inside powers of (y^2)
+    # filtration of powers of (x) can never sit inside powers of (y^2):
+    # restricted to the component (y^2), every level is the unit ideal
     f = OrdinaryPowers(xy(2, [[1, 0]]))
     rec = nu_value(f, xy(2, [[0, 2]]), 2, 2)
     assert rec.status == "infinite"
@@ -124,12 +125,46 @@ def test_general_path_infinite_certified():
 
 
 def test_general_path_finite_non_pure_target():
-    # target (x1^2) in two variables: only x1 is covered, general path
+    # target (x1^2) in two variables: one component, supported on x1 only
     f = OrdinaryPowers(xy(2, [[1, 1]]))
     for p, e in [(2, 1), (2, 3), (3, 2)]:
         q = p**e
         rec = nu_value(f, xy(2, [[2, 0]]), p, e)
         assert rec.status == "finite" and rec.nu == 2 * q - 1
+        assert rec.note == "witness"
+
+
+def test_nu_value_matches_general_path_oracle(rng):
+    """Seeded differential test: random filtrations of all nine rules
+    against random targets, m-primary or not, infinite cases included."""
+    kinds, statuses, non_primary = set(), [], 0
+    for _ in range(1000):
+        n = rng.randint(1, 3)
+        f = random_filtration(rng, n)
+        target = random_ideal(rng, n, max_gens=3, max_exp=2)
+        p = rng.choice([2, 3])
+        e = rng.randint(0, 2 if p == 2 else 1)
+        rec = nu_value(f, target, p, e)
+        assert (rec.status, rec.nu) == general_path_nu(f, target, p, e), (f, target, p, e)
+        if rec.finite:
+            assert rec.note == "witness" and rec.ratio == F(rec.nu, p**e)
+            non_primary += any(len(s) < n for s, _ in target.irreducible_components())
+        else:
+            assert "radical" in rec.note
+        kinds.add(type(f))
+        statuses.append(rec.status)
+    assert len(kinds) == 9
+    assert statuses.count("infinite") >= 200 and non_primary >= 100
+
+
+def test_non_pure_target_at_high_q():
+    # the baseline slow case: nu against (x1^2, x1 x2, x2^3) at q = 64 is
+    # the max over its two components (x1, x2^3) and (x1^2, x2)
+    ideal = xy(2, [[1, 1], [2, 0], [0, 3]])
+    f = OrdinaryPowers(ideal)
+    rec = nu_value(f, ideal, 2, 6)
+    parts = [nu_value(f, xy(2, [[1, 0], [0, 3]]), 2, 6), nu_value(f, xy(2, [[2, 0], [0, 1]]), 2, 6)]
+    assert rec.nu == max(r.nu for r in parts) == 105
 
 
 def test_nu_sequence_doubling_and_sup():
@@ -141,12 +176,6 @@ def test_nu_sequence_doubling_and_sup():
     assert seq.running_sup == F(2 * 31, 32)
     data = seq.to_json()
     assert data["records"][3]["ratio"] == "7/4"
-
-
-def test_max_level_cutoff_flag():
-    f = OrdinaryPowers(xy(2, [[1, 1]]))
-    rec = nu_value(f, xy(2, [[2, 0]]), 2, 1, max_level=1, force_general=True)
-    assert rec.status == "infinite" and "uncertified" in rec.note
 
 
 # ------------------------------------------------------------------ #

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from fthresh import MonomialIdeal, OrdinaryPowers, SymbolicSquarefree
-from fthresh.cli import main
+from fthresh import MonomialIdeal, OrdinaryPowers, SymbolicSquarefree, cli
+from fthresh.cli import build_parser, main
 from fthresh.serial import (
     ParseError,
     decimal_string,
@@ -279,3 +279,45 @@ def test_cli_verify_examples(capsys):
     code, out = run_cli(capsys, "verify-examples", "--format", "json")
     data = json.loads(out)
     assert data["all_pass"] is True and len(data["rows"]) == 20
+
+
+def test_cli_parser_cache_prints_same_bytes(capsys, monkeypatch):
+    """main reuses one parser; a run of different verbs prints the same
+    bytes as the same run with a fresh parser per call."""
+    calls = [
+        ("verify-examples", "--filter", "odd-cycle"),
+        ("nu", "--ideal", "x1*x2", "--nvars", "2", "-p", "3", "-e", "2"),
+        ("verify-examples", "--filter", "odd-cycle", "--format", "json"),
+        ("nu-seq", "--ideal", "x1^2;x2^3", "-p", "2", "--emax", "2", "--format", "table"),
+        ("verify-examples", "--filter", "odd-cycle"),
+        ("fthreshold", "--ideal", "x1^2;x2^3", "--decimal", "3"),
+        ("symbolic", "--ideal", "x1*x2;x2*x3;x1*x3"),
+    ]
+
+    def transcript():
+        out = []
+        for argv in calls:
+            code = main(list(argv))
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+    cached = transcript()
+    assert cached[0][1].strip().endswith("4/4 fixtures passed")
+    assert json.loads(cached[2][1])["all_pass"] is True
+    assert cached[4] == cached[0]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert transcript() == cached
+
+
+def test_cli_deep_membership_is_json_error(capsys):
+    code, out = run_cli(capsys, "nu", "--ideal", "x1*x2;x1^2;x2^3", "-p", "2", "-e", "12")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "SizeGuardError"
+
+
+def test_cli_non_object_filtration_is_json_error(capsys):
+    code, out = run_cli(capsys, "fthreshold", "--filtration", "[1]")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "UnsupportedInputError"
