@@ -32,3 +32,8 @@ class CapabilityError(FThreshError, RuntimeError):
 
 class SizeGuardError(CapabilityError):
     """An enumeration guard (generator count, box volume, subset count) tripped."""
+
+
+class InternalError(FThreshError, RuntimeError):
+    """An invariant the algorithms guarantee failed (an LP that must be
+    optimal is not, a primal/dual pair disagrees): a bug, not bad input."""

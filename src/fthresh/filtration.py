@@ -40,12 +40,10 @@ level by level by ``is_admissible_witness``.
 from __future__ import annotations
 
 import itertools
-import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
 
 from .errors import (
     AmbientMismatchError,
@@ -163,9 +161,6 @@ class Filtration(ABC):
 
     @abstractmethod
     def embed(self, nvars: int, offset: int = 0) -> "Filtration": ...
-
-    def describe(self) -> str:
-        return f"{type(self).__name__} in {self.nvars} variables"
 
 
 # ---------------------------------------------------------------------- #

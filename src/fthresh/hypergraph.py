@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import SizeGuardError, UnsupportedInputError
 from .lp import solve_lp

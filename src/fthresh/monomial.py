@@ -13,7 +13,6 @@ Conventions for the two degenerate ideals:
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence

@@ -11,11 +11,18 @@ integer normalization, exactly the monomial Rees valuations of I:
 * the F-threshold of the power filtration of I with respect to the
   maximal ideal is min over essential facets of <normal, (1,..,1)>/offset.
 
-Facets are enumerated by solving for supporting hyperplanes through all
-(size n) selections of generator points and coordinate recession rays,
-then pruning redundant inequalities with exact LPs.  This is exponential
-in n and documented as desk scale; the threshold itself is also available
-through a direct LP (`threshold_lp`) that stays cheap for larger inputs.
+The threshold never needs the facets: `threshold_lp` solves
+s* = min { s : s*(1,..,1) in NP(I) } and its dual, checks that the two
+optima agree exactly, and returns the dual's optimal weights w as the
+certificate: w(x1..xn) / w(I) = 1/s*.  It is the only threshold route for ordinary, integral-
+closure and ceiling powers.
+
+Facets are enumerated only when a caller asks for them (the `rees` and
+`newton` verbs, integral-closure membership and levels, bracket upper
+bounds) by solving for supporting hyperplanes through all (size n)
+selections of generator points and coordinate recession rays, then
+pruning redundant inequalities with exact LPs.  This is exponential in n
+and documented as desk scale.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
-from .errors import SizeGuardError, UnsupportedInputError
+from .errors import InternalError, SizeGuardError, UnsupportedInputError
 from .lp import solve_lp
 from .monomial import Monomial, MonomialIdeal
 
@@ -310,7 +317,8 @@ def threshold_lp(ideal: MonomialIdeal) -> tuple[Fraction, FacetInequality]:
         cons.append(([g[j] for g in gens] + [-1], "<=", 0))
     cons.append(([1] * G + [0], "==", 1))
     primal = solve_lp([0] * G + [1], cons, sense="min")
-    assert primal.status == "optimal" and primal.value is not None
+    if primal.status != "optimal" or primal.value is None:
+        raise InternalError(f"threshold LP primal is {primal.status}, not optimal")
     s_star = primal.value
 
     # dual: variables (v_1..v_n, t)
@@ -319,16 +327,20 @@ def threshold_lp(ideal: MonomialIdeal) -> tuple[Fraction, FacetInequality]:
         dcons.append((list(g) + [-1], ">=", 0))
     dcons.append(([1] * n + [0], "==", 1))
     dual = solve_lp([0] * n + [1], dcons, sense="max")
-    assert dual.status == "optimal" and dual.value is not None
+    if dual.status != "optimal" or dual.value is None or dual.x is None:
+        raise InternalError(f"threshold LP dual is {dual.status}, not optimal")
     if dual.value != s_star:
-        raise AssertionError(
+        raise InternalError(
             f"threshold LP duality gap: primal {s_star} vs dual {dual.value}"
         )
-    assert dual.x is not None
-    prim = _primitive(list(dual.x[:n]))
-    assert prim is not None
-    weights = prim
+    weights = _primitive(list(dual.x[:n]))
+    if weights is None:
+        raise InternalError("threshold LP dual weights are all zero")
     offset = min(sum(a * e for a, e in zip(weights, g)) for g in gens)
+    if Fraction(offset, sum(weights)) != s_star:
+        raise InternalError(
+            f"threshold LP weights {weights} give {offset}/{sum(weights)}, not {s_star}"
+        )
     if s_star == 0:
         raise UnsupportedInputError("degenerate threshold LP (zero optimum)")
     return Fraction(1) / s_star, FacetInequality(weights, offset)

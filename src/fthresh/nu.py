@@ -19,11 +19,12 @@ When some restriction is the unit ideal at every positive level, the
 radical of the filtration is not inside the radical of the target and
 the answer is +infinity, certified.
 
-Exact threshold routes: Rees valuations / the threshold LP for ordinary
-and integral-closure powers, height for symbolic powers of square-free
-ideals, min(height_i / weight_i) for prime-power intersections, scaling
-for ceiling powers, the min law for intersections, and Veronese reduction
-for annotated filtrations.  Everything else gets a certified bracket
+Exact threshold routes: the threshold LP (min over Rees valuations,
+certified by its dual weights, no facet enumeration) for ordinary,
+integral-closure and, scaled by 1/beta, ceiling powers; height for
+symbolic powers of square-free ideals; min(height_i / weight_i) for
+prime-power intersections; the min law for intersections; and Veronese
+reduction for annotated filtrations.  Everything else gets a certified bracket
 [sup nu/q, min over valuations v of v(x1..xn)/vhat].
 """
 
@@ -37,6 +38,7 @@ from .errors import (
     AmbientMismatchError,
     CapabilityError,
     FThreshError,
+    InternalError,
     UnsupportedInputError,
 )
 from .filtration import (
@@ -76,6 +78,8 @@ __all__ = [
     "symbolic_bracket_containment",
 ]
 
+# bracket upper bounds add the Rees facets of a base ideal only while
+# C(#gens + n, n) stays within this budget
 _FACET_ROUTE_BUDGET = 5_000
 
 
@@ -226,6 +230,12 @@ class ThresholdResult:
         return out
 
 
+def _exact_value(res: ThresholdResult) -> Fraction:
+    if res.kind != "exact" or res.value is None:
+        raise InternalError(f"{res.method} returned no exact value")
+    return res.value
+
+
 def _maximal_target(nvars: int, target: MonomialIdeal | None) -> bool:
     return target is None or target.is_maximal_ideal()
 
@@ -239,32 +249,16 @@ def fthreshold_ordinary(
 ) -> ThresholdResult:
     """C^I(a^bullet) for ordinary powers.
 
-    Exact (Rees valuations / threshold LP) for the maximal-ideal target;
-    other pure-power targets get a certified bracket: the witness-path
-    sup nu/q from below, and max_exponent * C^m from above (bracket-power
-    monotonicity).
+    Exact for the maximal-ideal target, through `threshold_lp`: the value
+    is min over Rees valuations v of v(x1..xn)/v(I), and the certificate
+    is the LP's dual weights w with w(x1..xn)/w(I) equal to it.  No facet
+    is enumerated.  Other pure-power targets get a certified bracket: the
+    witness-path sup nu/q from below, and max_exponent * C^m from above
+    (bracket-power monotonicity).
     """
     if ideal.is_zero() or ideal.is_unit():
         raise UnsupportedInputError("threshold needs a nonzero proper ideal")
-    n = ideal.nvars
-    if _maximal_target(n, target):
-        budget = _binom(ideal.num_generators() + n, n)
-        if budget <= _FACET_ROUTE_BUDGET:
-            facets = rees_valuations(ideal)
-            best = None
-            best_facet = None
-            for f in facets:
-                ratio = Fraction(sum(f.normal), f.offset)
-                if best is None or ratio < best:
-                    best, best_facet = ratio, f
-            assert best is not None and best_facet is not None
-            cert = {
-                "valuation": {"weights": [str(a) for a in best_facet.normal]},
-                "value_on_ideal": str(best_facet.offset),
-                "value_on_variable_product": str(sum(best_facet.normal)),
-                "rees_valuations": [f.to_json() for f in facets],
-            }
-            return ThresholdResult("exact", "rees_valuation", value=best, certificate=cert)
+    if _maximal_target(ideal.nvars, target):
         value, facet = threshold_lp(ideal)
         cert = {
             "valuation": {"weights": [str(a) for a in facet.normal]},
@@ -283,7 +277,7 @@ def fthreshold_ordinary(
     seq = nu_sequence(OrdinaryPowers(ideal), target, p, e_max)
     lower = seq.running_sup or Fraction(0)
     t = max(pure.values())
-    upper = t * fthreshold_ordinary(ideal).value
+    upper = t * _exact_value(fthreshold_ordinary(ideal))
     return ThresholdResult(
         "bracket",
         "nu_supremum_bracket",
@@ -318,18 +312,14 @@ def fthreshold_prime_power_intersection(
     filtration: PrimePowerIntersection,
 ) -> ThresholdResult:
     """C^m for intersections of prime powers: min over i of |S_i| / w_i."""
-    best: Fraction | None = None
-    best_comp = None
-    for supp, w in filtration.components:
-        ratio = Fraction(len(supp), w)
-        if best is None or ratio < best:
-            best, best_comp = ratio, (supp, w)
-    assert best is not None and best_comp is not None
+    supp, w = min(filtration.components, key=lambda c: Fraction(len(c[0]), c[1]))
     cert = {
-        "component": {"support": sorted(best_comp[0]), "weight": best_comp[1]},
+        "component": {"support": sorted(supp), "weight": w},
         "formula": "min_i height(P_i) / weight_i",
     }
-    return ThresholdResult("exact", "prime_power_min", value=best, certificate=cert)
+    return ThresholdResult(
+        "exact", "prime_power_min", value=Fraction(len(supp), w), certificate=cert
+    )
 
 
 def veronese_reduce(
@@ -343,16 +333,15 @@ def veronese_reduce(
         )
     d = annotated.degree
     level_ideal = annotated.base.level(d)
-    inner = fthreshold_ordinary(level_ideal)
-    assert inner.value is not None
+    inner = _exact_value(fthreshold_ordinary(level_ideal))
     cert = {
         "degree": d,
         "level_ideal": level_ideal.to_json(),
-        "level_threshold": str(inner.value),
+        "level_threshold": str(inner),
         "verified_k": verify_k,
     }
     return ThresholdResult(
-        "exact", "veronese_reduction", value=d * inner.value, certificate=cert
+        "exact", "veronese_reduction", value=d * inner, certificate=cert
     )
 
 
@@ -504,13 +493,13 @@ def fthreshold(
         return fthreshold_prime_power_intersection(f)
     if isinstance(f, CeilingPower):
         base = fthreshold_ordinary(f.ideal)
-        assert base.value is not None
+        base_value = _exact_value(base)
         return ThresholdResult(
             "exact",
             "rees_valuation",
-            value=base.value / f.beta,
+            value=base_value / f.beta,
             certificate={
-                "base_threshold": str(base.value),
+                "base_threshold": str(base_value),
                 "beta": str(f.beta),
                 "scaling": "C(I^{ceil(beta r)}) = C(I^bullet)/beta",
                 "base_certificate": base.certificate,
@@ -520,15 +509,15 @@ def fthreshold(
         left = fthreshold(f.left, p=p, e_max=e_max)
         right = fthreshold(f.right, p=p, e_max=e_max)
         if left.kind == "exact" and right.kind == "exact":
-            assert left.value is not None and right.value is not None
+            lv, rv = _exact_value(left), _exact_value(right)
             return ThresholdResult(
                 "exact",
                 "prime_power_min",
-                value=min(left.value, right.value),
+                value=min(lv, rv),
                 certificate={
                     "law": "C(intersection) = min(C_left, C_right)",
-                    "left": str(left.value),
-                    "right": str(right.value),
+                    "left": str(lv),
+                    "right": str(rv),
                 },
             )
     if p is None or e_max is None:
@@ -721,19 +710,18 @@ def threshold_attainment_report(ideal: MonomialIdeal) -> dict:
     from .newton import integral_closure_contains
 
     n = ideal.nvars
-    res = fthreshold_ordinary(ideal)
-    assert res.value is not None
+    value = _exact_value(fthreshold_ordinary(ideal))
     alpha = ideal.alpha()
     ht = ideal.height()
     ones = Monomial([1] * n)
     return {
-        "threshold": res.value,
+        "threshold": value,
         "n_over_alpha": Fraction(n, alpha),
         "height": ht,
-        "attains_n_over_alpha": res.value == Fraction(n, alpha),
+        "attains_n_over_alpha": value == Fraction(n, alpha),
         "product_power_in_closure": integral_closure_contains(
             ideal, n, ones.power(alpha)
         ),
-        "attains_height": res.value == Fraction(ht),
+        "attains_height": value == Fraction(ht),
         "product_in_height_closure": integral_closure_contains(ideal, ht, ones),
     }

@@ -17,7 +17,11 @@ optimal rational point becomes integral after clearing denominators):
 * symbolic powers (square-free):   LP  min v.x  s.t. sum_{j in P} x_j >= 1
                                    over the minimal primes P
 * prime-power intersections:       same LP with right-hand sides w_i
-* integral-closure powers:         LP  min v.x  over the Newton polyhedron
+* integral-closure powers:         vhat = v(I), since v(closure of I^r) =
+                                   r * min of v over NP(I) = r * v(I)
+                                   (a linear form with v >= 0 attains its
+                                   minimum over conv(G) + R^n_{>=0} at a
+                                   generator)
 * ceiling powers I^{ceil(beta r)}: beta * v(I)
 * products:                        sum of the factors' exact values
 * binomial sums:                   min of the two exact values
@@ -48,7 +52,6 @@ from .filtration import (
     VeroneseAnnotation,
 )
 from .lp import solve_lp
-from .newton import newton_polyhedron
 
 __all__ = ["WaldschmidtResult", "skew_waldschmidt"]
 
@@ -124,11 +127,7 @@ def skew_waldschmidt(
         return _exact(w, _covering_lp(w, f.nvars, rows), "prime_power_lp")
 
     if isinstance(f, IntegralClosurePowers):
-        np_ = newton_polyhedron(f.ideal)
-        cons = [(list(fc.normal), ">=", fc.offset) for fc in np_.essential]
-        res = solve_lp(list(w), cons, sense="min")
-        assert res.status == "optimal" and res.value is not None
-        return _exact(w, res.value, "newton_lp")
+        return _exact(w, f.ideal.valuation(w), "closure_exact")
 
     if isinstance(f, CeilingPower):
         return _exact(w, f.beta * f.ideal.valuation(w), "ceiling_exact")

@@ -1,0 +1,52 @@
+"""Source hygiene: every name a module of the package imports is used in
+that module.  Standard library only (``ast``)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fthresh"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line for every import, `__future__` excluded."""
+    out: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    """The literal `__all__` list: names imported to be re-exported."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_modules_found():
+    # an empty glob would parametrize no check at all
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    if path.name == "__init__.py":
+        used |= _exported_names(tree)
+    unused = {
+        name: line
+        for name, line in _imported_names(tree).items()
+        if name not in used
+    }
+    assert not unused, f"{path.name}: unused imports {unused}"

@@ -2,10 +2,12 @@
 conventions, threshold routing with certificates, structural laws, and
 the big-height criterion."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+import fthresh
 from fthresh import (
     AmbientMismatchError,
     BinomialSum,
@@ -13,6 +15,7 @@ from fthresh import (
     CeilingPower,
     FThreshError,
     IntegralClosurePowers,
+    InternalError,
     IntersectionFiltration,
     Monomial,
     MonomialIdeal,
@@ -32,10 +35,14 @@ from fthresh import (
     fthreshold_symbolic_squarefree,
     nu_sequence,
     nu_value,
+    rees_valuations,
+    skew_waldschmidt,
     symbolic_bracket_containment,
     symbolic_fsplit_witness,
     veronese_reduce,
 )
+from fthresh import newton
+from fthresh.cli import main
 from fthresh.nu import threshold_attainment_report
 
 from conftest import general_path_nu, random_filtration, random_ideal
@@ -242,6 +249,51 @@ def test_threshold_router_each_rule():
     assert res.kind == "bracket" and res.lower <= res.upper
     with pytest.raises(UnsupportedInputError):
         fthreshold(OrdinaryPowers(m2), target=xy(2, [[2, 0]]))
+
+
+class _NoFacets(RuntimeError):
+    pass
+
+
+def test_exact_thresholds_never_enumerate_facets(monkeypatch):
+    """Ordinary, closure and ceiling thresholds and closure Waldschmidt
+    constants take the LP / generator routes: with facet enumeration
+    broken they still answer, while the facet verbs still need it."""
+
+    def broken(ideal):
+        raise _NoFacets("newton_polyhedron called")
+
+    for mod in vars(fthresh).values():
+        if getattr(mod, "newton_polyhedron", None) is newton.newton_polyhedron:
+            monkeypatch.setattr(mod, "newton_polyhedron", broken)
+    # a fresh ideal, so no facet cache could answer
+    ideal = xy(3, [[5, 1, 0], [0, 4, 3], [2, 0, 7], [1, 2, 2]])
+    want = fthreshold(OrdinaryPowers(ideal))
+    assert want.kind == "exact" and want.certificate["route"] == "lp"
+    assert "rees_valuations" not in want.certificate
+    assert fthreshold(IntegralClosurePowers(ideal)).value == want.value
+    assert fthreshold(CeilingPower(ideal, F(3, 2))).value == want.value / F(3, 2)
+    res = skew_waldschmidt([1, 2, 0], IntegralClosurePowers(ideal))
+    assert res.exact == 2 and res.method == "closure_exact"
+    with pytest.raises(_NoFacets):
+        rees_valuations(ideal)
+
+
+def test_threshold_lp_duality_gap_is_internal_error(monkeypatch, capsys):
+    solve = newton.solve_lp
+
+    def gapped(objective, constraints, sense="min"):
+        res = solve(objective, constraints, sense)
+        if sense == "max":  # the dual LP: open a gap of 1
+            return type(res)(res.status, res.value + 1, res.x, res.duals)
+        return res
+
+    monkeypatch.setattr(newton, "solve_lp", gapped)
+    with pytest.raises(InternalError, match="duality gap"):
+        fthreshold(OrdinaryPowers(xy(2, [[2, 0], [0, 3]])))
+    assert main(["fthreshold", "--ideal", "x1^2;x2^3"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "InternalError" and "duality gap" in err["message"]
 
 
 def test_bracket_certified():

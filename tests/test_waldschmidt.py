@@ -19,8 +19,12 @@ from fthresh import (
     SymbolicSquarefree,
     UnsupportedInputError,
     VeroneseAnnotation,
+    newton_polyhedron,
     skew_waldschmidt,
+    solve_lp,
 )
+
+from conftest import random_ideal
 
 F = Fraction
 xy = MonomialIdeal.from_exponents
@@ -75,11 +79,32 @@ def test_prime_power_lp():
 def test_integral_closure_newton_lp():
     res = skew_waldschmidt([1, 1], IntegralClosurePowers(xy(2, [[2, 0], [0, 3]])))
     # min x+y over 3x+2y >= 6, x,y >= 0 sits at the vertex (2,0)
-    assert res.exact == 2 and res.method == "newton_lp"
+    assert res.exact == 2 and res.method == "closure_exact"
     # the Rees facet normal itself is the tight valuation for C^m
     res = skew_waldschmidt([3, 2], IntegralClosurePowers(xy(2, [[2, 0], [0, 3]])))
     assert res.exact == 6
     assert F(3 + 2) / res.exact == F(5, 6)
+
+
+def _facet_lp_vhat(weights, ideal):
+    """The retired route, kept as an oracle: min <w, x> over the Newton
+    polyhedron given by its essential facets."""
+    cons = [(list(f.normal), ">=", f.offset) for f in newton_polyhedron(ideal).essential]
+    res = solve_lp(list(weights), cons, sense="min")
+    assert res.status == "optimal"
+    return res.value
+
+
+def test_integral_closure_vhat_matches_facet_lp(rng):
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        ideal = random_ideal(rng, n, max_gens=4, max_exp=4)
+        weights = [F(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(n)]
+        if not any(weights):
+            weights[rng.randrange(n)] = F(1)
+        res = skew_waldschmidt(weights, IntegralClosurePowers(ideal))
+        assert res.exact == _facet_lp_vhat(weights, ideal), (ideal, weights)
+        assert res.lower == res.upper == res.exact
 
 
 def test_ceiling_exact():
