@@ -4,8 +4,8 @@ Verbs: nu, nu-seq, fthreshold, symbolic, rees, newton, waldschmidt,
 hypergraph, laws, verify-examples.  Inputs are inline text, `@file`, or
 `-`/omitted for stdin.  Output is deterministic; all rationals are exact
 "num/den" strings (``--decimal k`` adds a display-only rendering).  Exit
-codes: 0 success, 1 domain error (machine-readable error object), 2
-usage error.
+codes: 0 success, 1 any failure, reported as a machine-readable error
+object, 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import FThreshError
 from .filtration import Filtration, OrdinaryPowers, filtration_from_json
 from .gallery import verify_examples
 from .hypergraph import Hypergraph, threshold_bounds_report
@@ -344,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args, parser)
-    except (FThreshError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except Exception as exc:  # every failure is reported as a JSON error object
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error, indent=2))
         return 1

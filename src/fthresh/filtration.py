@@ -30,11 +30,10 @@ or None when every positive level maps to the unit ideal.  The nu engine
 evaluates nu against each irreducible component of a target through the
 restriction to the component's support.
 
-Each rule also reports a positive ``degree_slope`` delta with
-min-degree(a_r) >= delta * r and pigeonhole ``admissibility`` constants
-(h, c) such that a_{(h+m)q + c} subseteq a_{m+1}^{[q]} for all m,
-q = p^e: the constants behind the paper's existence results, checked
-level by level by ``is_admissible_witness``.
+Each rule also reports pigeonhole ``admissibility`` constants (h, c)
+such that a_{(h+m)q + c} subseteq a_{m+1}^{[q]} for all m, q = p^e: the
+constants behind the paper's existence results, checked level by level
+by ``is_admissible_witness``.
 """
 
 from __future__ import annotations
@@ -43,21 +42,17 @@ import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .errors import (
     AmbientMismatchError,
+    InternalError,
     SizeGuardError,
     UnsupportedInputError,
     UnsupportedSymbolicPowerError,
 )
 from .monomial import Monomial, MonomialIdeal
-from .newton import (
-    integral_closure_generators,
-    integral_closure_level,
-    newton_polyhedron,
-)
-from .lp import solve_lp
+from .newton import integral_closure_generators, integral_closure_level
 
 __all__ = [
     "Filtration",
@@ -131,16 +126,8 @@ class Filtration(ABC):
     # -- structure data --------------------------------------------------- #
 
     @abstractmethod
-    def degree_slope(self) -> Fraction:
-        """A positive delta with min-degree(a_r) >= delta * r for r >= 1."""
-
-    @abstractmethod
     def admissibility(self) -> tuple[int, int]:
         """Pigeonhole constants (h, c): a_{(h+m)q+c} subseteq a_{m+1}^{[q]}."""
-
-    @abstractmethod
-    def support(self) -> frozenset[int]:
-        """Variables that can appear in any level >= 1."""
 
     def radical(self) -> MonomialIdeal:
         """Radical of a_1 (= radical of every positive level)."""
@@ -177,6 +164,14 @@ def _require_usable_base(ideal: MonomialIdeal, *, allow_zero: bool = True) -> No
         raise UnsupportedInputError("rule needs a nonzero ideal")
 
 
+def _base_level(ideal: MonomialIdeal, u: Monomial) -> int:
+    """Membership level of u in the powers of a rule's base ideal."""
+    lvl = ideal.membership_level(u)
+    if lvl is None:
+        raise InternalError("a rule's base ideal is the unit ideal")
+    return lvl
+
+
 def _restrict_base(rule, keep: frozenset[int]) -> "Filtration | None":
     """restrict() of a rule given by one base ideal: the same rule on the
     restricted ideal."""
@@ -201,20 +196,10 @@ class OrdinaryPowers(Filtration):
         return self.ideal.power(r)
 
     def witness_level(self, u: Monomial) -> int:
-        lvl = self.ideal.membership_level(u)
-        assert lvl is not None  # unit base excluded at construction
-        return lvl
-
-    def degree_slope(self) -> Fraction:
-        if self.ideal.is_zero():
-            return Fraction(1)
-        return Fraction(self.ideal.alpha())
+        return _base_level(self.ideal, u)
 
     def admissibility(self) -> tuple[int, int]:
         return (max(self.ideal.num_generators(), 1), 0)
-
-    def support(self) -> frozenset[int]:
-        return self.ideal.support_vars()
 
     restrict = _restrict_base
 
@@ -251,25 +236,18 @@ class SymbolicSquarefree(Filtration):
         return self.ideal.minimal_primes()
 
     def _level_impl(self, r: int) -> MonomialIdeal:
-        out: MonomialIdeal | None = None
-        for p in self.primes:
-            pw = _prime_power(self.nvars, tuple(sorted(p)), r)
-            out = pw if out is None else out.intersect(pw)
-        assert out is not None
-        return out
+        # a nonzero proper ideal has at least one minimal prime
+        return reduce(
+            MonomialIdeal.intersect,
+            (_prime_power(self.nvars, tuple(sorted(p)), r) for p in self.primes),
+        )
 
     def witness_level(self, u: Monomial) -> int:
         return min(sum(u.exps[j] for j in p) for p in self.primes)
 
-    def degree_slope(self) -> Fraction:
-        return Fraction(1)
-
     def admissibility(self) -> tuple[int, int]:
         h = self.ideal.big_height()
         return (h, 1 - h)
-
-    def support(self) -> frozenset[int]:
-        return self.ideal.support_vars()
 
     # the restricted ideal is square-free and its minimal primes are the
     # minimal primes of the ideal inside keep
@@ -337,32 +315,25 @@ class PrimePowerIntersection(Filtration):
         object.__setattr__(self, "components", tuple(canon))
 
     def _level_impl(self, r: int) -> MonomialIdeal:
-        out: MonomialIdeal | None = None
-        for supp, w in self.components:
-            pw = _prime_power(self.nvars, tuple(sorted(supp)), w * r)
-            out = pw if out is None else out.intersect(pw)
-        assert out is not None
-        return out
+        # components are nonempty by construction
+        return reduce(
+            MonomialIdeal.intersect,
+            (
+                _prime_power(self.nvars, tuple(sorted(supp)), w * r)
+                for supp, w in self.components
+            ),
+        )
 
     def witness_level(self, u: Monomial) -> int:
         return min(
             sum(u.exps[j] for j in supp) // w for supp, w in self.components
         )
 
-    def degree_slope(self) -> Fraction:
-        return Fraction(max(w for _, w in self.components))
-
     def admissibility(self) -> tuple[int, int]:
         h = 1
         for supp, w in self.components:
             h = max(h, 1 + _ceil_frac(Fraction(len(supp) - 1, w)))
         return (h, 0)
-
-    def support(self) -> frozenset[int]:
-        out: set[int] = set()
-        for supp, _ in self.components:
-            out |= supp
-        return frozenset(out)
 
     def restrict(self, keep: frozenset[int]) -> "PrimePowerIntersection | None":
         # a prime with a variable outside keep maps to the unit ideal
@@ -407,19 +378,8 @@ class IntegralClosurePowers(Filtration):
     def witness_level(self, u: Monomial) -> int:
         return integral_closure_level(self.ideal, u)
 
-    def degree_slope(self) -> Fraction:
-        np_ = newton_polyhedron(self.ideal)
-        cons = [(list(f.normal), ">=", f.offset) for f in np_.essential]
-        res = solve_lp([1] * self.nvars, cons, sense="min")
-        assert res.status == "optimal" and res.value is not None
-        assert res.value > 0
-        return res.value
-
     def admissibility(self) -> tuple[int, int]:
         return (self.nvars - 1 + self.ideal.num_generators(), 0)
-
-    def support(self) -> frozenset[int]:
-        return self.ideal.support_vars()
 
     restrict = _restrict_base
 
@@ -451,19 +411,11 @@ class CeilingPower(Filtration):
         return self.ideal.power(_ceil_frac(self.beta * r))
 
     def witness_level(self, u: Monomial) -> int:
-        base = self.ideal.membership_level(u)
-        assert base is not None
-        return _floor_div_frac(base, self.beta)
-
-    def degree_slope(self) -> Fraction:
-        return self.beta * self.ideal.alpha()
+        return _floor_div_frac(_base_level(self.ideal, u), self.beta)
 
     def admissibility(self) -> tuple[int, int]:
         mu = self.ideal.num_generators()
         return (1 + _ceil_frac(Fraction(mu) / self.beta), 0)
-
-    def support(self) -> frozenset[int]:
-        return self.ideal.support_vars()
 
     restrict = _restrict_base
 
@@ -535,16 +487,10 @@ class ProductFiltration(Filtration):
                 hi = mid - 1
         return lo
 
-    def degree_slope(self) -> Fraction:
-        return self.left.degree_slope() + self.right.degree_slope()
-
     def admissibility(self) -> tuple[int, int]:
         hl, cl = self.left.admissibility()
         hr, cr = self.right.admissibility()
         return (max(hl, hr), max(cl, cr))
-
-    def support(self) -> frozenset[int]:
-        return self.left.support() | self.right.support()
 
     def restrict(self, keep: frozenset[int]) -> "Filtration | None":
         return _restrict_unit_absorbing(self, keep)
@@ -582,16 +528,10 @@ class IntersectionFiltration(Filtration):
     def witness_level(self, u: Monomial) -> int:
         return min(self.left.witness_level(u), self.right.witness_level(u))
 
-    def degree_slope(self) -> Fraction:
-        return max(self.left.degree_slope(), self.right.degree_slope())
-
     def admissibility(self) -> tuple[int, int]:
         hl, cl = self.left.admissibility()
         hr, cr = self.right.admissibility()
         return (max(hl, hr), max(cl, cr))
-
-    def support(self) -> frozenset[int]:
-        return self.left.support() | self.right.support()
 
     def restrict(self, keep: frozenset[int]) -> "Filtration | None":
         return _restrict_unit_absorbing(self, keep)
@@ -644,16 +584,10 @@ class BinomialSum(Filtration):
                     best = max(best, i + self.right.witness_level(u.quotient(g)))
         return best
 
-    def degree_slope(self) -> Fraction:
-        return min(self.left.degree_slope(), self.right.degree_slope())
-
     def admissibility(self) -> tuple[int, int]:
         hl, cl = self.left.admissibility()
         hr, cr = self.right.admissibility()
         return (hl + hr, cl + cr)
-
-    def support(self) -> frozenset[int]:
-        return self.left.support() | self.right.support()
 
     def restrict(self, keep: frozenset[int]) -> "BinomialSum | None":
         # e_r contains a_r and b_r, so a unit side makes every e_r the unit
@@ -704,14 +638,8 @@ class VeroneseAnnotation(Filtration):
     def witness_level(self, u: Monomial) -> int:
         return self.base.witness_level(u)
 
-    def degree_slope(self) -> Fraction:
-        return self.base.degree_slope()
-
     def admissibility(self) -> tuple[int, int]:
         return self.base.admissibility()
-
-    def support(self) -> frozenset[int]:
-        return self.base.support()
 
     def restrict(self, keep: frozenset[int]) -> "VeroneseAnnotation | None":
         base = self.base.restrict(keep)

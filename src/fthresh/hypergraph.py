@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .errors import SizeGuardError, UnsupportedInputError
+from .errors import InternalError, SizeGuardError, UnsupportedInputError
 from .lp import solve_lp
 from .monomial import MonomialIdeal, minimal_transversals
 
@@ -195,9 +195,7 @@ def fractional_matching_number(h: Hypergraph) -> Fraction:
         row = [Fraction(1 if v in e else 0) for e in h.edges]
         if any(row):
             constraints.append((row, "<=", Fraction(1)))
-    res = solve_lp([Fraction(1)] * m, constraints, sense="max")
-    assert res.status == "optimal"
-    return res.value
+    return _lp_optimum([Fraction(1)] * m, constraints, "max")
 
 
 def vertex_cover_number(h: Hypergraph) -> int:
@@ -241,8 +239,14 @@ def fractional_chromatic(h: Hypergraph) -> Fraction:
     for v in range(h.n):
         row = [Fraction(1 if v in s else 0) for s in sets]
         constraints.append((row, ">=", Fraction(1)))
-    res = solve_lp([Fraction(1)] * len(sets), constraints, sense="min")
-    assert res.status == "optimal"
+    return _lp_optimum([Fraction(1)] * len(sets), constraints, "min")
+
+
+def _lp_optimum(objective, constraints, sense: str) -> Fraction:
+    """Optimum of an LP that is feasible and bounded by construction."""
+    res = solve_lp(objective, constraints, sense=sense)
+    if res.value is None:
+        raise InternalError(f"{sense} LP is {res.status}, not optimal")
     return res.value
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import UnsupportedInputError
+from .errors import InternalError, UnsupportedInputError
 
 __all__ = ["LPResult", "solve_lp"]
 
@@ -43,9 +43,8 @@ def solve_lp(
     c = [Fraction(v) for v in objective]
     if sense == "max":
         inner = solve_lp([-v for v in c], constraints, sense="min")
-        if inner.status != "optimal":
+        if inner.value is None or inner.duals is None:
             return inner
-        assert inner.value is not None and inner.duals is not None
         return LPResult(
             "optimal", -inner.value, inner.x, tuple(-d for d in inner.duals)
         )
@@ -106,7 +105,8 @@ def solve_lp(
         for j in range(first_art, ncols):
             cost1[j] = Fraction(1)
         status, cbar = _simplex(T, basis, cost1, [True] * ncols, m, n, ncols)
-        assert status == "optimal"  # phase-1 objective is bounded below by 0
+        if status != "optimal":  # the phase-1 objective is bounded below by 0
+            raise InternalError(f"phase-1 LP is {status}")
         if -cbar[ncols] > 0:
             return LPResult("infeasible")
         # pivot surviving artificials out of the basis when possible

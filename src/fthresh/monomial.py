@@ -298,16 +298,18 @@ class MonomialIdeal:
             raise UnsupportedInputError("negative ideal power")
         if r == 0:
             return MonomialIdeal.unit(self.nvars)
-        # binary powering with intermediate minimalization
-        result: MonomialIdeal | None = None
+        # binary powering with intermediate minimalization; the lowest set
+        # bit of r starts the result
         base = self
+        while not r & 1:
+            base, r = base * base, r >> 1
+        result = base
+        r >>= 1
         while r:
+            base = base * base
             if r & 1:
-                result = base if result is None else result * base
+                result = result * base
             r >>= 1
-            if r:
-                base = base * base
-        assert result is not None
         return result
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":

@@ -19,10 +19,15 @@ closure and ceiling powers.
 
 Facets are enumerated only when a caller asks for them (the `rees` and
 `newton` verbs, integral-closure membership and levels, bracket upper
-bounds) by solving for supporting hyperplanes through all (size n)
-selections of generator points and coordinate recession rays, then
-pruning redundant inequalities with exact LPs.  This is exponential in n
-and documented as desk scale.
+bounds).  Each selection of k generator points and n - k coordinate
+recession rays with a one-dimensional solution space fixes a candidate
+hyperplane <v, x> = c through them.  The facets are exactly the tight
+candidates: v >= 0, c > 0 and <v, g> >= c on every generator.  Such a
+hyperplane supports NP(I) and contains n affinely independent points and
+rays of it, so it is a facet; and every essential facet arises from one
+tight vertex plus n - 1 independent directions among its other vertices
+and the rays e_j with v_j = 0.  No pruning LP is needed.  The enumeration
+is exponential in n and documented as desk scale.
 """
 
 from __future__ import annotations
@@ -176,29 +181,26 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
                 if prim is None:
                     continue
                 v, c = prim[:n], prim[n]
-                if all(a == 0 for a in v):
-                    continue
                 if any(a < 0 for a in v):
                     if all(a <= 0 for a in v):
                         v = tuple(-a for a in v)
                         c = -c
                     else:
                         continue
-                # supporting requires <v,g> >= c for every generator with
-                # equality on the chosen points; recompute the offset as the
-                # true minimum and keep only genuinely supporting normals.
-                offset = min(sum(a * e for a, e in zip(v, g)) for g in gens)
-                if offset <= 0:
+                # keep the hyperplane only if it is tight at its own points
+                # and supports NP(I): then it is a facet
+                if c <= 0 or any(
+                    sum(a * e for a, e in zip(v, g)) < c for g in gens
+                ):
                     continue
-                candidates[v] = offset
+                candidates[v] = c
 
-    facets = [FacetInequality(v, c) for v, c in sorted(candidates.items())]
-    essential = _prune_redundant(facets, n)
+    essential = tuple(FacetInequality(v, c) for v, c in sorted(candidates.items()))
     coordinate = tuple(
         FacetInequality(tuple(1 if i == j else 0 for i in range(n)), 0)
         for j in range(n)
     )
-    return NewtonPolyhedron(ideal, tuple(essential), coordinate)
+    return NewtonPolyhedron(ideal, essential, coordinate)
 
 
 def _binom(a: int, b: int) -> int:
@@ -208,26 +210,6 @@ def _binom(a: int, b: int) -> int:
     for i in range(b):
         out = out * (a - i) // (i + 1)
     return out
-
-
-def _prune_redundant(
-    facets: list[FacetInequality], n: int
-) -> list[FacetInequality]:
-    """Drop inequalities implied by the others (plus x >= 0), via exact LP."""
-    kept = list(facets)
-    i = 0
-    while i < len(kept):
-        f = kept[i]
-        others = [g for g in kept if g is not f]
-        cons = [(list(g.normal), ">=", g.offset) for g in others]
-        res = solve_lp(list(f.normal), cons, sense="min")
-        # the objective is bounded below by 0 on x >= 0, so status is optimal
-        assert res.status == "optimal"
-        if res.value is not None and res.value >= f.offset:
-            kept.pop(i)  # redundant: others already force <v,x> >= offset
-        else:
-            i += 1
-    return kept
 
 
 def rees_valuations(ideal: MonomialIdeal) -> tuple[FacetInequality, ...]:

@@ -186,13 +186,12 @@ def nu_sequence(
     """nu records for e = 0..e_max; asserts the doubling inequality."""
     records = [nu_value(filtration, target, p, e) for e in range(e_max + 1)]
     for prev, cur in zip(records, records[1:]):
-        if prev.finite and cur.finite:
-            assert prev.nu is not None and cur.nu is not None
-            if p * prev.nu > cur.nu:
-                raise FThreshError(
-                    f"doubling inequality violated: p*nu({prev.q}) = "
-                    f"{p * prev.nu} > nu({cur.q}) = {cur.nu}"
-                )
+        # finite records carry nu; the others have nu None
+        if prev.nu is not None and cur.nu is not None and p * prev.nu > cur.nu:
+            raise FThreshError(
+                f"doubling inequality violated: p*nu({prev.q}) = "
+                f"{p * prev.nu} > nu({cur.q}) = {cur.nu}"
+            )
     sup: Fraction | None = None
     for r in records:
         if r.finite and r.ratio is not None:
@@ -593,7 +592,8 @@ def check_sum_product_laws(
         b = nu_value(right, m2, p, e)
         s = nu_value(sum_fil, joint_target, p, e)
         pr = nu_value(prod_fil, product_target, p, e)
-        assert a.nu is not None and b.nu is not None
+        if a.nu is None or b.nu is None:
+            raise InternalError("nu against the maximal ideal is not finite")
         sum_ok = s.nu == a.nu + b.nu
         prod_ok = pr.nu == max(a.nu, b.nu)
         ok = ok and sum_ok and prod_ok

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import UnsupportedInputError
+from .errors import InternalError, UnsupportedInputError
 from .filtration import (
     BinomialSum,
     CeilingPower,
@@ -88,7 +88,8 @@ def _covering_lp(
         coeffs = [1 if j in supp else 0 for j in range(nvars)]
         cons.append((coeffs, ">=", rhs))
     res = solve_lp(list(weights), cons, sense="min")
-    assert res.status == "optimal" and res.value is not None
+    if res.value is None:
+        raise InternalError(f"covering LP is {res.status}, not optimal")
     return res.value
 
 

@@ -6,12 +6,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 from fthresh import (
     BinomialSum,
     CeilingPower,
+    FacetInequality,
     Filtration,
     Hypergraph,
     IntegralClosurePowers,
@@ -22,6 +24,7 @@ from fthresh import (
     ProductFiltration,
     SymbolicSquarefree,
     VeroneseAnnotation,
+    solve_lp,
 )
 
 
@@ -174,6 +177,83 @@ def general_path_nu(
         else:
             lo = mid
     return "finite", lo
+
+
+
+def _kernel_line(rows: list[list[Fraction]]) -> list[Fraction] | None:
+    """A spanning vector of the kernel of a rational matrix when that
+    kernel is a line, else None (Gauss-Jordan elimination)."""
+    width = len(rows[0])
+    mat = [row[:] for row in rows]
+    pivots: list[int] = []
+    for col in range(width):
+        piv = next((i for i in range(len(pivots), len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [v / mat[r][col] for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    free = [c for c in range(width) if c not in pivots]
+    if len(free) != 1:
+        return None
+    vec = [Fraction(0)] * width
+    vec[free[0]] = Fraction(1)
+    for i, pc in enumerate(pivots):
+        vec[pc] = -mat[i][free[0]]
+    return vec
+
+
+def pruned_facets(ideal: MonomialIdeal) -> tuple[FacetInequality, ...]:
+    """Brute-force oracle for the essential Newton facets, sorted by
+    normal: every hyperplane through k generators and n - k coordinate
+    rays whose nonnegative normal supports all generators at a positive
+    offset min <v, g> is a candidate (tight at its own points or not);
+    then each candidate implied by the others and x >= 0 is dropped with
+    one exact LP."""
+    n = ideal.nvars
+    gens = [g.exps for g in ideal.gens]
+    candidates: dict[tuple[int, ...], int] = {}
+    for k in range(1, min(n, len(gens)) + 1):
+        for pts in combinations(gens, k):
+            for coords in combinations(range(n), n - k):
+                rows = [[Fraction(e) for e in g] + [Fraction(-1)] for g in pts]
+                rows += [[Fraction(int(i == j)) for i in range(n + 1)] for j in coords]
+                line = _kernel_line(rows)
+                if line is None:
+                    continue
+                den = 1
+                for x in line:
+                    den = den * x.denominator // gcd(den, x.denominator)
+                v = [int(x * den) for x in line[:n]]
+                if any(a < 0 for a in v) and all(a <= 0 for a in v):
+                    v = [-a for a in v]
+                if any(a < 0 for a in v) or not any(v):
+                    continue
+                g0 = 0
+                for a in v:
+                    g0 = gcd(g0, a)
+                v = [a // g0 for a in v]
+                offset = min(sum(a * e for a, e in zip(v, g)) for g in gens)
+                if offset > 0:
+                    candidates[tuple(v)] = offset
+    kept = [FacetInequality(v, c) for v, c in sorted(candidates.items())]
+    i = 0
+    while i < len(kept):
+        f = kept[i]
+        others = [(list(g.normal), ">=", g.offset) for g in kept if g is not f]
+        res = solve_lp(list(f.normal), others, sense="min")
+        if res.status != "optimal":
+            raise AssertionError(f"pruning LP is {res.status}")
+        if res.value >= f.offset:
+            kept.pop(i)
+        else:
+            i += 1
+    return tuple(kept)
 
 
 @pytest.fixture

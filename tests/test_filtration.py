@@ -201,16 +201,6 @@ def test_admissibility_witness():
     assert not rep.ok
 
 
-def test_degree_slope_valid(rng):
-    for f in sample_filtrations():
-        s = f.degree_slope()
-        assert s > 0
-        for r in (1, 2, 5):
-            ideal = f.level(r)
-            if not ideal.is_zero():
-                assert min(g.degree() for g in ideal.gens) >= s * r
-
-
 def test_zero_filtration_allowed():
     z = OrdinaryPowers(MonomialIdeal.zero(2))
     assert z.level(0).is_unit()

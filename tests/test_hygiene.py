@@ -1,5 +1,6 @@
 """Source hygiene: every name a module of the package imports is used in
-that module.  Standard library only (``ast``)."""
+that module, and no module states an invariant with ``assert``, which
+``python -O`` strips.  Standard library only (``ast``)."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,10 @@ def test_every_import_is_used(path):
         if name not in used
     }
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert not lines, f"{path.name}: assert at lines {lines}; raise InternalError"

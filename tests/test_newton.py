@@ -1,11 +1,13 @@
-"""Newton polyhedra: facet enumeration, integral-closure membership with
-verified rational certificates, and the threshold LP."""
+"""Newton polyhedra: facet enumeration (against the enumerate-then-prune
+oracle), integral-closure membership with verified rational certificates,
+and the threshold LP."""
 
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from fthresh import newton
 from fthresh import (
     Monomial,
     MonomialIdeal,
@@ -19,9 +21,9 @@ from fthresh import (
     solve_lp,
     threshold_lp,
 )
-from fthresh.hypergraph import Hypergraph, edge_ideal
+from fthresh.hypergraph import Hypergraph, cover_ideal, edge_ideal
 
-from conftest import random_ideal
+from conftest import pruned_facets, random_ideal
 
 F = Fraction
 xy = MonomialIdeal.from_exponents
@@ -51,6 +53,45 @@ def test_facets_reject_degenerate_ideals():
         rees_valuations(MonomialIdeal.zero(2))
     with pytest.raises(UnsupportedInputError):
         rees_valuations(MonomialIdeal.unit(2))
+
+
+def test_tight_candidates_match_pruned_oracle(rng):
+    graphs = [Hypergraph.cycle(5), Hypergraph.cycle(6), Hypergraph.complete(4)]
+    ideals = [ideal(g) for g in graphs for ideal in (edge_ideal, cover_ideal)]
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        ideals.append(random_ideal(rng, n, max_gens=6, max_exp=3))
+    for ideal in ideals:
+        assert newton_polyhedron(ideal).essential == pruned_facets(ideal), ideal
+
+
+def test_facets_need_no_lp(monkeypatch):
+    class _LPCalled(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise _LPCalled("solve_lp called")
+
+    bindings = [name for name, value in vars(newton).items() if value is solve_lp]
+    assert bindings
+    for name in bindings:
+        monkeypatch.setattr(newton, name, refuse)
+    newton.newton_polyhedron.cache_clear()
+    try:
+        ideal = xy(3, [[3, 0, 0], [1, 1, 0], [0, 2, 1], [0, 0, 4]])
+        oracle = pruned_facets(ideal)
+        assert rees_valuations(ideal) == oracle
+        u = Monomial([2, 2, 2])
+        assert integral_closure_level(ideal, u) == min(
+            f.value(u) // f.offset for f in oracle
+        )
+        assert integral_closure_generators(ideal, 1).contains_monomial(
+            Monomial([1, 1, 0])
+        )
+        with pytest.raises(_LPCalled):
+            threshold_lp(ideal)
+    finally:
+        newton.newton_polyhedron.cache_clear()
 
 
 def test_newton_polyhedron_membership():

@@ -3,9 +3,12 @@ end to end (exit codes, formats, determinism)."""
 
 import io
 import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from fthresh import MonomialIdeal, OrdinaryPowers, SymbolicSquarefree, cli
 from fthresh.cli import build_parser, main
@@ -321,3 +324,120 @@ def test_cli_non_object_filtration_is_json_error(capsys):
     code, out = run_cli(capsys, "fthreshold", "--filtration", "[1]")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "UnsupportedInputError"
+
+
+_IDEAL = {"vars": 2, "generators": [[1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "verb, flag, data",
+    [
+        ("fthreshold", "--filtration", {"rule": "ceiling", "ideal": _IDEAL, "beta": "1/0"}),
+        ("fthreshold", "--filtration", {"rule": "ceiling", "ideal": _IDEAL, "beta": [1]}),
+        ("fthreshold", "--filtration", {"rule": "ordinary", "ideal": {"vars": 2, "generators": 5}}),
+        ("fthreshold", "--filtration", {"rule": "ordinary", "ideal": [1]}),
+        (
+            "fthreshold",
+            "--filtration",
+            {"rule": "veronese", "base": {"rule": "ordinary", "ideal": _IDEAL}, "degree": None},
+        ),
+        (
+            "fthreshold",
+            "--filtration",
+            {"rule": "prime_power_intersection", "vars": 2, "components": [5]},
+        ),
+        ("hypergraph", "--graph", [1]),
+        ("hypergraph", "--graph", {"n": 3, "edges": 5}),
+    ],
+)
+def test_cli_malformed_json_is_json_error(capsys, verb, flag, data):
+    code, out = run_cli(capsys, verb, flag, json.dumps(data))
+    assert code == 1
+    assert set(json.loads(out)["error"]) == {"type", "message"}
+
+
+_junk = st.sampled_from([None, True, -1, "1/0", "x", [1], {}])
+
+
+def _or_junk(strategy):
+    """The strategy, or a wrongly typed value one time in four."""
+    return st.integers(0, 3).flatmap(lambda k: _junk if k == 0 else strategy)
+
+
+# well-formed parts live in 2 variables, so composite rules can combine
+_exps = st.lists(st.integers(0, 3), min_size=2, max_size=2)
+_ideals = _or_junk(
+    st.fixed_dictionaries(
+        {"vars": _or_junk(st.just(2)), "generators": _or_junk(st.lists(_exps, min_size=1, max_size=3))}
+    )
+)
+_components = st.lists(
+    _or_junk(
+        st.fixed_dictionaries(
+            {
+                "support": _or_junk(st.lists(st.integers(0, 1), min_size=1, max_size=2)),
+                "weight": _or_junk(st.integers(1, 2)),
+            }
+        )
+    ),
+    min_size=1,
+    max_size=2,
+)
+_base_rules = st.fixed_dictionaries(
+    {
+        "rule": st.sampled_from(
+            ["ordinary", "symbolic", "integral_closure", "ceiling", "prime_power_intersection"]
+        ),
+        "ideal": _ideals,
+        "beta": _or_junk(st.sampled_from(["3/2", "2", "1/3"])),
+        "vars": _or_junk(st.just(2)),
+        "components": _or_junk(_components),
+    }
+)
+_filtrations = _or_junk(
+    st.recursive(
+        _base_rules,
+        lambda inner: st.fixed_dictionaries(
+            {
+                "rule": st.sampled_from(["product", "intersection", "binomial_sum", "veronese"]),
+                "left": _or_junk(inner),
+                "right": _or_junk(inner),
+                "base": _or_junk(inner),
+                "degree": _or_junk(st.integers(1, 2)),
+            }
+        ),
+        max_leaves=3,
+    )
+)
+_graphs = _or_junk(
+    st.integers(2, 4).flatmap(
+        lambda n: st.fixed_dictionaries(
+            {
+                "n": _or_junk(st.just(n)),
+                "edges": _or_junk(
+                    st.lists(
+                        _or_junk(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)),
+                        min_size=1,
+                        max_size=4,
+                    )
+                ),
+            }
+        )
+    )
+)
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.just(("fthreshold", "--filtration")), _filtrations)
+    | st.tuples(st.just(("hypergraph", "--graph")), _graphs)
+)
+def test_cli_fuzzed_json_never_escapes(case):
+    command, data = case
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main([*command, json.dumps(data)])
+    assert code in (0, 1)
+    if code == 1:
+        assert set(json.loads(buf.getvalue())["error"]) == {"type", "message"}

@@ -159,14 +159,8 @@ class _DoubledMaximal(Filtration):
     def witness_level(self, u):
         return u.degree() // 2
 
-    def degree_slope(self):
-        return F(2)
-
     def admissibility(self):
         return (1, 2)
-
-    def support(self):
-        return frozenset(range(self.nvars))
 
     def to_json(self):
         return {"rule": "test_doubled", "nvars": self.nvars}
