@@ -31,7 +31,14 @@ from .nu import (
     nu_sequence,
     nu_value,
 )
-from .serial import decimal_string, format_fraction, parse_fraction, parse_ideal, read_source
+from .serial import (
+    decimal_string,
+    format_fraction,
+    parse_fraction,
+    parse_ideal,
+    parse_json,
+    read_source,
+)
 from .waldschmidt import skew_waldschmidt
 
 __all__ = ["main", "build_parser"]
@@ -133,13 +140,12 @@ def _add_common(sub: argparse.ArgumentParser, *, chars: bool = False) -> None:
 
 
 def _get_filtration(args) -> Filtration:
-    if getattr(args, "filtration", None):
-        data = json.loads(read_source(args.filtration))
+    if getattr(args, "filtration", None) is not None:
+        data = parse_json(read_source(args.filtration), "filtration")
         return filtration_from_json(data)
-    if getattr(args, "ideal", None):
+    if getattr(args, "ideal", None) is not None:
         return OrdinaryPowers(parse_ideal(read_source(args.ideal), args.nvars))
-    data = json.loads(read_source(None))
-    return filtration_from_json(data)
+    return filtration_from_json(parse_json(read_source(None), "filtration"))
 
 
 def _get_ideal(args) -> MonomialIdeal:
@@ -230,15 +236,15 @@ def _cmd_waldschmidt(args, parser) -> int:
 
 def _cmd_hypergraph(args, parser) -> int:
     _require(args, parser, "--graph")
-    h = Hypergraph.from_json(json.loads(read_source(args.graph)))
+    h = Hypergraph.from_json(parse_json(read_source(args.graph), "graph"))
     _emit(threshold_bounds_report(h), args)
     return 0
 
 
 def _cmd_laws(args, parser) -> int:
     _require(args, parser, "--left", "--right", "-p", "--emax")
-    left = filtration_from_json(json.loads(read_source(args.left)))
-    right = filtration_from_json(json.loads(read_source(args.right)))
+    left = filtration_from_json(parse_json(read_source(args.left), "filtration"))
+    right = filtration_from_json(parse_json(read_source(args.right), "filtration"))
     out = {}
     if left.nvars == right.nvars:
         out["min_law"] = check_min_law(left, right, args.p, args.emax).to_json()

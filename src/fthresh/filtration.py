@@ -50,6 +50,7 @@ from .errors import (
     SizeGuardError,
     UnsupportedInputError,
     UnsupportedSymbolicPowerError,
+    json_field,
 )
 from .monomial import Monomial, MonomialIdeal
 from .newton import integral_closure_generators, integral_closure_level
@@ -609,13 +610,19 @@ class BinomialSum(Filtration):
         )
 
 
+# how far every caller checks a Veronese annotation a_{k d} = (a_d)^k: the
+# 7-cycle's symbolic and ordinary powers first differ at 4 (a (2m+1)-cycle's
+# at m + 1), so longer odd cycles still pass this finite check
+VERONESE_VERIFY_DEPTH = 4
+
+
 @dataclass(frozen=True)
 class VeroneseAnnotation(Filtration):
     """A filtration together with the assertion that a_{k d} = (a_d)^k.
 
-    The assertion is user-supplied and checked on demand by ``verify``;
-    the threshold engine uses it to reduce to an ordinary-power question
-    at level d.
+    The assertion is user-supplied and checked on demand by ``verify``,
+    for k <= VERONESE_VERIFY_DEPTH only; the threshold engine and
+    `skew_waldschmidt` use it, once checked, to reduce to level d.
     """
 
     base: Filtration
@@ -645,8 +652,9 @@ class VeroneseAnnotation(Filtration):
         base = self.base.restrict(keep)
         return None if base is None else VeroneseAnnotation(base, self.degree)
 
-    def verify(self, k_max: int = 4) -> bool:
-        """Check a_{k d} = (a_d)^k for k = 1..k_max."""
+    def verify(self, k_max: int = VERONESE_VERIFY_DEPTH) -> bool:
+        """Check a_{k d} = (a_d)^k for k = 1..k_max: a finite check, not a
+        proof of the assertion for every k."""
         vd = self.base.level(self.degree)
         for k in range(1, k_max + 1):
             if self.base.level(k * self.degree) != vd.power(k):
@@ -757,41 +765,48 @@ def is_admissible_witness(
 # ---------------------------------------------------------------------- #
 
 def filtration_from_json(data: dict) -> Filtration:
+    """The filtration a JSON descriptor names; a descriptor that is not an
+    object, lacks a field or has a malformed one raises
+    `UnsupportedInputError` naming the field."""
     if not isinstance(data, dict):
         raise UnsupportedInputError(
             f"a filtration descriptor is a JSON object, not {type(data).__name__}"
         )
     rule = data.get("rule")
+
+    def field(key: str, convert):
+        return json_field(data, key, convert, f"{rule} filtration")
+
     if rule == "ordinary":
-        return OrdinaryPowers(MonomialIdeal.from_json(data["ideal"]))
+        return OrdinaryPowers(field("ideal", MonomialIdeal.from_json))
     if rule == "symbolic":
-        return symbolic_filtration(MonomialIdeal.from_json(data["ideal"]))
+        return symbolic_filtration(field("ideal", MonomialIdeal.from_json))
     if rule == "prime_power_intersection":
-        comps = tuple(
-            (frozenset(c["support"]), int(c["weight"]))
-            for c in data["components"]
-        )
-        return PrimePowerIntersection(int(data["vars"]), comps)
+
+        def component(c) -> tuple[frozenset[int], int]:
+            what = "prime-power component"
+            supp = json_field(c, "support", lambda s: frozenset(map(int, s)), what)
+            return supp, json_field(c, "weight", int, what)
+
+        comps = field("components", lambda cs: tuple(map(component, cs)))
+        return PrimePowerIntersection(field("vars", int), comps)
     if rule == "integral_closure":
-        return IntegralClosurePowers(MonomialIdeal.from_json(data["ideal"]))
+        return IntegralClosurePowers(field("ideal", MonomialIdeal.from_json))
     if rule == "ceiling":
         return CeilingPower(
-            MonomialIdeal.from_json(data["ideal"]), Fraction(data["beta"])
+            field("ideal", MonomialIdeal.from_json), field("beta", Fraction)
         )
-    if rule == "product":
-        return ProductFiltration(
-            filtration_from_json(data["left"]), filtration_from_json(data["right"])
-        )
-    if rule == "intersection":
-        return IntersectionFiltration(
-            filtration_from_json(data["left"]), filtration_from_json(data["right"])
-        )
-    if rule == "binomial_sum":
-        return BinomialSum(
-            filtration_from_json(data["left"]), filtration_from_json(data["right"])
+    if rule in ("product", "intersection", "binomial_sum"):
+        cls = {
+            "product": ProductFiltration,
+            "intersection": IntersectionFiltration,
+            "binomial_sum": BinomialSum,
+        }[rule]
+        return cls(
+            field("left", filtration_from_json), field("right", filtration_from_json)
         )
     if rule == "veronese":
         return VeroneseAnnotation(
-            filtration_from_json(data["base"]), int(data["degree"])
+            field("base", filtration_from_json), field("degree", int)
         )
     raise UnsupportedInputError(f"unknown filtration rule {rule!r}")

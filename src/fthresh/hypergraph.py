@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .errors import InternalError, SizeGuardError, UnsupportedInputError
+from .errors import InternalError, SizeGuardError, UnsupportedInputError, json_field
 from .lp import solve_lp
 from .monomial import MonomialIdeal, minimal_transversals
 
@@ -101,7 +101,14 @@ class Hypergraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "Hypergraph":
-        return cls(int(data["n"]), [tuple(e) for e in data["edges"]])
+        n = json_field(data, "n", int, "hypergraph")
+        edges = json_field(
+            data,
+            "edges",
+            lambda es: [tuple(int(v) for v in e) for e in es],
+            "hypergraph",
+        )
+        return cls(n, edges)
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [sorted(e) for e in self.edges]}

@@ -17,7 +17,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import AmbientMismatchError, SizeGuardError, UnsupportedInputError
+from .errors import (
+    AmbientMismatchError,
+    SizeGuardError,
+    UnsupportedInputError,
+    json_field,
+)
 
 __all__ = [
     "Monomial",
@@ -482,7 +487,11 @@ class MonomialIdeal:
 
     @classmethod
     def from_json(cls, data: dict) -> "MonomialIdeal":
-        return cls.from_exponents(int(data["vars"]), data["generators"])
+        nvars = json_field(data, "vars", int, "ideal")
+        gens = json_field(
+            data, "generators", lambda rows: [Monomial(r) for r in rows], "ideal"
+        )
+        return cls(nvars, gens)
 
 
 def minimal_transversals(

@@ -11,11 +11,13 @@ integer normalization, exactly the monomial Rees valuations of I:
 * the F-threshold of the power filtration of I with respect to the
   maximal ideal is min over essential facets of <normal, (1,..,1)>/offset.
 
-The threshold never needs the facets: `threshold_lp` solves
-s* = min { s : s*(1,..,1) in NP(I) } and its dual, checks that the two
-optima agree exactly, and returns the dual's optimal weights w as the
-certificate: w(x1..xn) / w(I) = 1/s*.  It is the only threshold route for ordinary, integral-
-closure and ceiling powers.
+The threshold never needs the facets: `threshold_lp` solves one LP, the
+valuation LP max { t : <v, g> >= t for all generators g, sum v = 1, v >= 0 },
+whose optimum is s* = min { s : s*(1,..,1) in NP(I) }.  Its weights w
+certify s* from below (w(I) / w(x1..xn) = s*) and its row duals, a convex
+combination of generators under s*(1,..,1), certify it from above; both
+are checked in exact arithmetic.  It is the only threshold route for
+ordinary, integral-closure and ceiling powers.
 
 Facets are enumerated only when a caller asks for them (the `rees` and
 `newton` verbs, integral-closure membership and levels, bracket upper
@@ -36,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from typing import Sequence
 
 from .errors import InternalError, SizeGuardError, UnsupportedInputError
@@ -156,7 +158,7 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     gens = [g.exps for g in ideal.gens]
     count = 1
     for k in range(1, n + 1):
-        count += _binom(len(gens), k) * _binom(n, n - k)
+        count += comb(len(gens), k) * comb(n, n - k)
         if count > _FACET_CANDIDATE_GUARD:
             raise SizeGuardError(
                 "facet enumeration too large; use threshold_lp / LP routes"
@@ -201,15 +203,6 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
         for j in range(n)
     )
     return NewtonPolyhedron(ideal, essential, coordinate)
-
-
-def _binom(a: int, b: int) -> int:
-    if b < 0 or b > a:
-        return 0
-    out = 1
-    for i in range(b):
-        out = out * (a - i) // (i + 1)
-    return out
 
 
 def rees_valuations(ideal: MonomialIdeal) -> tuple[FacetInequality, ...]:
@@ -282,47 +275,47 @@ def integral_closure_generators(ideal: MonomialIdeal, r: int) -> MonomialIdeal:
 def threshold_lp(ideal: MonomialIdeal) -> tuple[Fraction, FacetInequality]:
     """Exact C^m(I^bullet) together with a certifying valuation.
 
-    Primal: s* = min { s : s*(1,..,1) in NP(I) }, i.e. some convex
-    combination of generators fits under s*(1,..,1); then C = 1/s*.
-    The certificate is recovered from the explicit dual LP
-    max { t : sum v_j = 1, <v, g> >= t for all generators, v >= 0 },
-    whose optimum equals s* (checked exactly here).
+    One LP, the valuation LP
+    t* = max { t : <v, g> >= t for all generators g, sum v_j = 1, v >= 0 },
+    whose optimum is s* = min { s : s*(1,..,1) in NP(I) }; then C = 1/s*.
+    Both sides of the answer are checked in exact arithmetic:
+
+    * the weights x[:n] give w(I) / w(1) = t*, so s* >= t*;
+    * the row duals give multipliers lam_g = -duals[g] with lam >= 0,
+      sum lam = 1 and sum_g lam_g * g_j <= t* for every j, so the convex
+      combination sum lam_g * g lies under t*(1,..,1) and s* <= t*.
+
+    A failed check raises `InternalError`.
     """
     if ideal.is_zero() or ideal.is_unit():
         raise UnsupportedInputError("threshold needs a nonzero proper ideal")
     gens = [g.exps for g in ideal.gens]
     n = ideal.nvars
-    G = len(gens)
-    # primal: variables (lambda_1..lambda_G, s)
+    # variables (v_1..v_n, t)
     cons: list[tuple[list[int], str, int]] = []
-    for j in range(n):
-        cons.append(([g[j] for g in gens] + [-1], "<=", 0))
-    cons.append(([1] * G + [0], "==", 1))
-    primal = solve_lp([0] * G + [1], cons, sense="min")
-    if primal.status != "optimal" or primal.value is None:
-        raise InternalError(f"threshold LP primal is {primal.status}, not optimal")
-    s_star = primal.value
-
-    # dual: variables (v_1..v_n, t)
-    dcons: list[tuple[list[int], str, int]] = []
     for g in gens:
-        dcons.append((list(g) + [-1], ">=", 0))
-    dcons.append(([1] * n + [0], "==", 1))
-    dual = solve_lp([0] * n + [1], dcons, sense="max")
-    if dual.status != "optimal" or dual.value is None or dual.x is None:
-        raise InternalError(f"threshold LP dual is {dual.status}, not optimal")
-    if dual.value != s_star:
-        raise InternalError(
-            f"threshold LP duality gap: primal {s_star} vs dual {dual.value}"
-        )
-    weights = _primitive(list(dual.x[:n]))
+        cons.append((list(g) + [-1], ">=", 0))
+    cons.append(([1] * n + [0], "==", 1))
+    res = solve_lp([0] * n + [1], cons, sense="max")
+    if res.status != "optimal" or None in (res.value, res.x, res.duals):
+        raise InternalError(f"threshold LP is {res.status}, not optimal")
+    s_star = res.value
+    if s_star == 0:
+        raise UnsupportedInputError("degenerate threshold LP (zero optimum)")
+
+    weights = _primitive(list(res.x[:n]))
     if weights is None:
-        raise InternalError("threshold LP dual weights are all zero")
+        raise InternalError("threshold LP weights are all zero")
     offset = min(sum(a * e for a, e in zip(weights, g)) for g in gens)
     if Fraction(offset, sum(weights)) != s_star:
         raise InternalError(
             f"threshold LP weights {weights} give {offset}/{sum(weights)}, not {s_star}"
         )
-    if s_star == 0:
-        raise UnsupportedInputError("degenerate threshold LP (zero optimum)")
+
+    lam = [-d for d in res.duals[: len(gens)]]
+    under = all(sum(a * g[j] for a, g in zip(lam, gens)) <= s_star for j in range(n))
+    if min(lam) < 0 or sum(lam) != 1 or not under:
+        raise InternalError(
+            f"threshold LP multipliers do not place {s_star}*(1,..,1) in NP(I)"
+        )
     return Fraction(1) / s_star, FacetInequality(weights, offset)

@@ -20,8 +20,8 @@ radical of the filtration is not inside the radical of the target and
 the answer is +infinity, certified.
 
 Exact threshold routes: the threshold LP (min over Rees valuations,
-certified by its dual weights, no facet enumeration) for ordinary,
-integral-closure and, scaled by 1/beta, ceiling powers; height for
+certified by its weights and multipliers, no facet enumeration) for
+ordinary, integral-closure and, scaled by 1/beta, ceiling powers; height for
 symbolic powers of square-free ideals; min(height_i / weight_i) for
 prime-power intersections; the min law for intersections; and Veronese
 reduction for annotated filtrations.  Everything else gets a certified bracket
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -51,10 +52,11 @@ from .filtration import (
     PrimePowerIntersection,
     ProductFiltration,
     SymbolicSquarefree,
+    VERONESE_VERIFY_DEPTH,
     VeroneseAnnotation,
 )
 from .monomial import Monomial, MonomialIdeal
-from .newton import rees_valuations, threshold_lp, _binom
+from .newton import rees_valuations, threshold_lp
 from .waldschmidt import skew_waldschmidt
 
 __all__ = [
@@ -250,10 +252,10 @@ def fthreshold_ordinary(
 
     Exact for the maximal-ideal target, through `threshold_lp`: the value
     is min over Rees valuations v of v(x1..xn)/v(I), and the certificate
-    is the LP's dual weights w with w(x1..xn)/w(I) equal to it.  No facet
-    is enumerated.  Other pure-power targets get a certified bracket: the
-    witness-path sup nu/q from below, and max_exponent * C^m from above
-    (bracket-power monotonicity).
+    is the valuation LP's weights w with w(x1..xn)/w(I) equal to it.  No
+    facet is enumerated.  Other pure-power targets get a certified
+    bracket: the witness-path sup nu/q from below, and max_exponent * C^m
+    from above (bracket-power monotonicity).
     """
     if ideal.is_zero() or ideal.is_unit():
         raise UnsupportedInputError("threshold needs a nonzero proper ideal")
@@ -321,14 +323,17 @@ def fthreshold_prime_power_intersection(
     )
 
 
-def veronese_reduce(
-    annotated: VeroneseAnnotation, *, verify_k: int = 3
-) -> ThresholdResult:
-    """C^m(a_bullet) = d * C^m((a_d)^bullet) for a verified annotation a_{kd} = (a_d)^k."""
-    if not annotated.verify(verify_k):
+def veronese_reduce(annotated: VeroneseAnnotation) -> ThresholdResult:
+    """C^m(a_bullet) = d * C^m((a_d)^bullet) for an annotation a_{kd} = (a_d)^k.
+
+    The assertion is checked only finitely, for k <= VERONESE_VERIFY_DEPTH
+    (the same depth `skew_waldschmidt` uses); an annotation that holds that
+    far but fails later is taken at its word.
+    """
+    if not annotated.verify():
         raise UnsupportedInputError(
             f"Veronese assertion a_{{k*{annotated.degree}}} = (a_{annotated.degree})^k "
-            f"fails for some k <= {verify_k}"
+            f"fails for some k <= {VERONESE_VERIFY_DEPTH}"
         )
     d = annotated.degree
     level_ideal = annotated.base.level(d)
@@ -337,7 +342,7 @@ def veronese_reduce(
         "degree": d,
         "level_ideal": level_ideal.to_json(),
         "level_threshold": str(inner),
-        "verified_k": verify_k,
+        "verified_k": VERONESE_VERIFY_DEPTH,
     }
     return ThresholdResult(
         "exact", "veronese_reduction", value=d * inner, certificate=cert
@@ -364,7 +369,7 @@ def _candidate_valuations(filtration: Filtration) -> list[tuple[Fraction, ...]]:
             ideal = f.ideal
             if (
                 not ideal.is_zero()
-                and _binom(ideal.num_generators() + n, n) <= _FACET_ROUTE_BUDGET
+                and comb(ideal.num_generators() + n, n) <= _FACET_ROUTE_BUDGET
             ):
                 for facet in rees_valuations(ideal):
                     out.append(tuple(Fraction(a) for a in facet.normal))

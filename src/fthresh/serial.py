@@ -3,9 +3,11 @@
 Ideal text grammar: variables are x1..xn; a generator is a product of
 powers like ``x1^2*x3`` or an exponent tuple ``[2,0,1]``; an ideal is a
 semicolon-separated list of generators, or a JSON array of exponent
-tuples.  ``m`` denotes the maximal ideal of the ambient ring, ``0`` the
-zero ideal, ``1`` the unit ideal.  Rationals serialize as "num/den"
-strings (plain "num" when the denominator is 1).
+tuples (text such as ``[2,0,1]`` or ``[2,0,1];[1,1,0]``, which is not a
+JSON array of arrays, is read as generators).  ``m`` denotes the maximal
+ideal of the ambient ring, ``0`` the zero ideal, ``1`` the unit ideal.
+Rationals serialize as "num/den" strings (plain "num" when the
+denominator is 1).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import UnsupportedInputError
+from .errors import UnsupportedInputError, json_value
 from .monomial import MonomialIdeal
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "decimal_string",
     "parse_ideal",
     "parse_monomial_text",
+    "parse_json",
     "read_source",
 ]
 
@@ -119,26 +122,35 @@ def parse_ideal(text: str, nvars: int | None = None) -> MonomialIdeal:
             raise ParseError("the zero ideal needs an ambient variable count", s, 0)
         return MonomialIdeal.zero(nvars)
     if s.startswith("{"):
-        try:
-            data = json.loads(s)
-        except json.JSONDecodeError as exc:
-            raise ParseError("bad ideal JSON", s[:40], exc.pos) from exc
-        return MonomialIdeal.from_exponents(int(data["vars"]), data["generators"])
+        return MonomialIdeal.from_json(parse_json(s, "ideal"))
     if s.startswith("["):
         try:
             rows = json.loads(s)
-        except json.JSONDecodeError as exc:
-            raise ParseError("bad ideal JSON", s[:40], exc.pos) from exc
-        vecs = [list(map(int, row)) for row in rows]
-        width = nvars if nvars is not None else max((len(v) for v in vecs), default=0)
-        vecs = [v + [0] * (width - len(v)) for v in vecs]
-        return MonomialIdeal.from_exponents(width, vecs)
+        except json.JSONDecodeError:
+            rows = None  # '[2,0,1];[1,1,0]': exponent tuples in the text grammar
+        if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
+            vecs = json_value(
+                rows,
+                lambda rs: [[int(a) for a in row] for row in rs],
+                "ideal JSON array",
+            )
+            width = nvars if nvars is not None else max(map(len, vecs), default=0)
+            vecs = [v + [0] * (width - len(v)) for v in vecs]
+            return MonomialIdeal.from_exponents(width, vecs)
     raw = [parse_monomial_text(g) for g in s.split(";") if g.strip()]
     width = nvars if nvars is not None else max((len(v) for v in raw), default=0)
     if any(len(v) > width for v in raw):
         raise ParseError(f"generator exceeds {width} variables", s, 0)
     padded = [v + [0] * (width - len(v)) for v in raw]
     return MonomialIdeal.from_exponents(width, padded)
+
+
+def parse_json(text: str, what: str):
+    """Decode JSON input; malformed text raises `ParseError` naming ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad {what} JSON", text.strip()[:40], exc.pos) from exc
 
 
 def read_source(arg: str | None) -> str:

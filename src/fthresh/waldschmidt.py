@@ -25,7 +25,8 @@ optimal rational point becomes integral after clearing denominators):
 * ceiling powers I^{ceil(beta r)}: beta * v(I)
 * products:                        sum of the factors' exact values
 * binomial sums:                   min of the two exact values
-* Veronese-verified filtrations:   v(a_d)/d
+* Veronese-verified filtrations:   v(a_d)/d (annotation checked for
+                                   k <= VERONESE_VERIFY_DEPTH)
 
 Intersections only get a certified bracket (max of the components from
 below, sampled level ratios from above); the generic fallback reports the

@@ -112,15 +112,36 @@ def test_size_guard_falls_back_to_lp():
 
 
 def test_threshold_lp_equals_facet_route(rng):
-    for _ in range(20):
-        n = rng.randint(2, 3)
-        ideal = random_ideal(rng, n, max_gens=4, max_exp=4)
+    graphs = [Hypergraph.cycle(5), Hypergraph.cycle(6), Hypergraph.complete(4)]
+    ideals = [edge_ideal(g) for g in graphs]
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        ideals.append(random_ideal(rng, n, max_gens=5, max_exp=4))
+    for ideal in ideals:
         facet_min = min(
             F(sum(f.normal), f.offset) for f in rees_valuations(ideal)
         )
         lp_value, cert = threshold_lp(ideal)
-        assert lp_value == facet_min
+        assert lp_value == facet_min, ideal
         assert F(sum(cert.normal), cert.offset) == lp_value
+
+
+def test_threshold_lp_solves_one_lp(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(newton, "solve_lp", counted)
+    for ideal in (
+        xy(2, [[2, 0], [0, 3]]),
+        xy(3, [[3, 0, 0], [1, 1, 0], [0, 2, 1], [0, 0, 4]]),
+        edge_ideal(Hypergraph.petersen()),
+    ):
+        calls.clear()
+        threshold_lp(ideal)
+        assert len(calls) == 1, ideal
 
 
 def _closure_certificates(ideal, u, r):

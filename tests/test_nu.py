@@ -42,6 +42,7 @@ from fthresh import (
     veronese_reduce,
 )
 from fthresh import newton
+from fthresh.hypergraph import Hypergraph, edge_ideal
 from fthresh.cli import main
 from fthresh.nu import threshold_attainment_report
 
@@ -279,21 +280,30 @@ def test_exact_thresholds_never_enumerate_facets(monkeypatch):
         rees_valuations(ideal)
 
 
-def test_threshold_lp_duality_gap_is_internal_error(monkeypatch, capsys):
+def _reverse_weights(res):
+    n = len(res.x) - 1  # (v_1..v_n, t)
+    return type(res)(res.status, res.value, res.x[:n][::-1] + res.x[n:], res.duals)
+
+
+def _double_duals(res):
+    return type(res)(res.status, res.value, res.x, tuple(2 * d for d in res.duals))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_double_duals, "multipliers"), (_reverse_weights, "weights")],
+    ids=["multipliers", "weights"],
+)
+def test_threshold_lp_corrupt_certificate_is_internal_error(
+    monkeypatch, capsys, corrupt, message
+):
     solve = newton.solve_lp
-
-    def gapped(objective, constraints, sense="min"):
-        res = solve(objective, constraints, sense)
-        if sense == "max":  # the dual LP: open a gap of 1
-            return type(res)(res.status, res.value + 1, res.x, res.duals)
-        return res
-
-    monkeypatch.setattr(newton, "solve_lp", gapped)
-    with pytest.raises(InternalError, match="duality gap"):
+    monkeypatch.setattr(newton, "solve_lp", lambda *a, **k: corrupt(solve(*a, **k)))
+    with pytest.raises(InternalError, match=message):
         fthreshold(OrdinaryPowers(xy(2, [[2, 0], [0, 3]])))
     assert main(["fthreshold", "--ideal", "x1^2;x2^3"]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
-    assert err["type"] == "InternalError" and "duality gap" in err["message"]
+    assert err["type"] == "InternalError" and message in err["message"]
 
 
 def test_bracket_certified():
@@ -336,6 +346,16 @@ def test_veronese_reduce():
         veronese_reduce(bad)
     # the router degrades the failed annotation to its base rule
     assert fthreshold(bad).value == 2
+
+
+def test_veronese_check_depth_rejects_odd_cycle():
+    # symbolic and ordinary powers of the 7-cycle's edge ideal first differ
+    # at level 4, so a check to k = 3 would accept this annotation
+    c7 = VeroneseAnnotation(SymbolicSquarefree(edge_ideal(Hypergraph.cycle(7))), 1)
+    assert c7.verify(3) and not c7.verify()
+    res = fthreshold(c7)
+    assert res.value == 4 and res.method == "symbolic_squarefree"
+    assert skew_waldschmidt([1] * 7, c7).method == "symbolic_lp"
 
 
 # ------------------------------------------------------------------ #

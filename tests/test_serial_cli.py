@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from fthresh import MonomialIdeal, OrdinaryPowers, SymbolicSquarefree, cli
+from fthresh import FThreshError, MonomialIdeal, OrdinaryPowers, SymbolicSquarefree, cli
 from fthresh.cli import build_parser, main
 from fthresh.serial import (
     ParseError,
@@ -80,6 +80,9 @@ def test_parse_ideal_forms():
     semi = parse_ideal("x1^2; x2^3")
     assert semi == MonomialIdeal.from_exponents(2, [[2, 0], [0, 3]])
     assert parse_ideal("x1^2; x2^3;") == semi
+    # exponent tuples are generators of the text grammar, too
+    assert parse_ideal("[2,0]; [0,3]") == semi
+    assert parse_ideal("[2,0]", 2) == MonomialIdeal.from_exponents(2, [[2, 0]])
     assert parse_ideal("x1*x2", 3).nvars == 3
     with pytest.raises(ParseError):
         parse_ideal("x1; x2*x3", 2)
@@ -348,12 +351,16 @@ _IDEAL = {"vars": 2, "generators": [[1, 1]]}
         ),
         ("hypergraph", "--graph", [1]),
         ("hypergraph", "--graph", {"n": 3, "edges": 5}),
+        ("fthreshold", "--ideal", {"vars": 2}),
+        ("fthreshold", "--ideal", [[1, "a"]]),
     ],
 )
 def test_cli_malformed_json_is_json_error(capsys, verb, flag, data):
     code, out = run_cli(capsys, verb, flag, json.dumps(data))
     assert code == 1
-    assert set(json.loads(out)["error"]) == {"type", "message"}
+    error = json.loads(out)["error"]
+    assert set(error) == {"type", "message"}
+    assert error["type"] == "UnsupportedInputError"
 
 
 _junk = st.sampled_from([None, True, -1, "1/0", "x", [1], {}])
@@ -427,17 +434,53 @@ _graphs = _or_junk(
 )
 
 
+# ideal texts: the x1^2*x3 grammar, exponent tuples and JSON, each with
+# malformed tokens mixed in
+_factors = st.one_of(
+    st.builds("x{}^{}".format, st.integers(1, 3), st.integers(0, 3)),
+    st.builds("x{}".format, st.integers(1, 3)),
+    st.sampled_from(["x0", "y", "x1^", "^2", "", "x1^-1", "x1^2^3", " x2 "]),
+)
+_tuple_texts = st.lists(
+    st.one_of(st.integers(0, 3), st.sampled_from([-1, "a", None, 1.5, [1]])),
+    max_size=3,
+).map(json.dumps)
+_generator_texts = st.one_of(
+    st.lists(_factors, min_size=1, max_size=3).map("*".join),
+    _tuple_texts,
+    st.sampled_from(["1", "m", "0", "", "[1,2", "x1;"]),
+)
+_ideal_texts = st.one_of(
+    st.lists(_generator_texts, min_size=1, max_size=3).map(";".join),
+    _ideals.map(json.dumps),
+    st.lists(_or_junk(_exps), max_size=3).map(json.dumps),
+    st.sampled_from(["m", "0", "1", "", "{", "[", '[[1,"a"]]', '{"vars":2}', "{]"]),
+)
+
+
+def _fthresh_error_names():
+    names, todo = set(), [FThreshError]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return names
+
+
 @seed(20261018)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    st.tuples(st.just(("fthreshold", "--filtration")), _filtrations)
-    | st.tuples(st.just(("hypergraph", "--graph")), _graphs)
+    st.tuples(st.just(("fthreshold", "--filtration")), _filtrations.map(json.dumps))
+    | st.tuples(st.just(("hypergraph", "--graph")), _graphs.map(json.dumps))
+    | st.tuples(st.just(("fthreshold", "--ideal")), _ideal_texts)
 )
 def test_cli_fuzzed_json_never_escapes(case):
-    command, data = case
+    command, text = case
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main([*command, json.dumps(data)])
+        code = main([*command, text])
     assert code in (0, 1)
     if code == 1:
-        assert set(json.loads(buf.getvalue())["error"]) == {"type", "message"}
+        error = json.loads(buf.getvalue())["error"]
+        assert set(error) == {"type", "message"}
+        assert error["type"] in _fthresh_error_names(), error
