@@ -190,7 +190,7 @@ def _cmd_fthreshold(args, parser) -> int:
     target = None
     if args.target:
         target = _get_target(args, f.nvars)
-    res = fthreshold(f, p=args.p, e_max=args.emax, target=target)
+    res = fthreshold(f, target=target)
     _emit(res.to_json(), args)
     return 0
 
@@ -292,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", help="target ideal (default m)")
     sp.set_defaults(run=_cmd_nu_seq)
 
-    sp = subs.add_parser("fthreshold", help="F-threshold (exact or bracket)")
-    _add_common(sp, chars=True)
+    sp = subs.add_parser("fthreshold", help="exact F-threshold")
+    _add_common(sp)
     sp.add_argument("--target", help="target ideal (default m)")
     sp.set_defaults(run=_cmd_fthreshold)
 

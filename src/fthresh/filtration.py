@@ -30,10 +30,9 @@ or None when every positive level maps to the unit ideal.  The nu engine
 evaluates nu against each irreducible component of a target through the
 restriction to the component's support.
 
-Each rule also reports pigeonhole ``admissibility`` constants (h, c)
-such that a_{(h+m)q + c} subseteq a_{m+1}^{[q]} for all m, q = p^e: the
-constants behind the paper's existence results, checked level by level
-by ``is_admissible_witness``.
+Thresholds and Waldschmidt constants come from the limiting Newton body
+of the filtration (``body.py``), which every rule above describes by
+linear rows, not from its levels.
 """
 
 from __future__ import annotations
@@ -68,9 +67,7 @@ __all__ = [
     "VeroneseAnnotation",
     "symbolic_filtration",
     "verify_filtration_axioms",
-    "is_admissible_witness",
     "AxiomReport",
-    "AdmissibilityReport",
     "filtration_from_json",
 ]
 
@@ -125,10 +122,6 @@ class Filtration(ABC):
         """Largest r >= 0 with u in a_r (finite for all shipped rules)."""
 
     # -- structure data --------------------------------------------------- #
-
-    @abstractmethod
-    def admissibility(self) -> tuple[int, int]:
-        """Pigeonhole constants (h, c): a_{(h+m)q+c} subseteq a_{m+1}^{[q]}."""
 
     def radical(self) -> MonomialIdeal:
         """Radical of a_1 (= radical of every positive level)."""
@@ -199,9 +192,6 @@ class OrdinaryPowers(Filtration):
     def witness_level(self, u: Monomial) -> int:
         return _base_level(self.ideal, u)
 
-    def admissibility(self) -> tuple[int, int]:
-        return (max(self.ideal.num_generators(), 1), 0)
-
     restrict = _restrict_base
 
     def to_json(self) -> dict:
@@ -245,10 +235,6 @@ class SymbolicSquarefree(Filtration):
 
     def witness_level(self, u: Monomial) -> int:
         return min(sum(u.exps[j] for j in p) for p in self.primes)
-
-    def admissibility(self) -> tuple[int, int]:
-        h = self.ideal.big_height()
-        return (h, 1 - h)
 
     # the restricted ideal is square-free and its minimal primes are the
     # minimal primes of the ideal inside keep
@@ -330,12 +316,6 @@ class PrimePowerIntersection(Filtration):
             sum(u.exps[j] for j in supp) // w for supp, w in self.components
         )
 
-    def admissibility(self) -> tuple[int, int]:
-        h = 1
-        for supp, w in self.components:
-            h = max(h, 1 + _ceil_frac(Fraction(len(supp) - 1, w)))
-        return (h, 0)
-
     def restrict(self, keep: frozenset[int]) -> "PrimePowerIntersection | None":
         # a prime with a variable outside keep maps to the unit ideal
         comps = tuple(c for c in self.components if c[0] <= keep)
@@ -379,9 +359,6 @@ class IntegralClosurePowers(Filtration):
     def witness_level(self, u: Monomial) -> int:
         return integral_closure_level(self.ideal, u)
 
-    def admissibility(self) -> tuple[int, int]:
-        return (self.nvars - 1 + self.ideal.num_generators(), 0)
-
     restrict = _restrict_base
 
     def to_json(self) -> dict:
@@ -413,10 +390,6 @@ class CeilingPower(Filtration):
 
     def witness_level(self, u: Monomial) -> int:
         return _floor_div_frac(_base_level(self.ideal, u), self.beta)
-
-    def admissibility(self) -> tuple[int, int]:
-        mu = self.ideal.num_generators()
-        return (1 + _ceil_frac(Fraction(mu) / self.beta), 0)
 
     restrict = _restrict_base
 
@@ -488,11 +461,6 @@ class ProductFiltration(Filtration):
                 hi = mid - 1
         return lo
 
-    def admissibility(self) -> tuple[int, int]:
-        hl, cl = self.left.admissibility()
-        hr, cr = self.right.admissibility()
-        return (max(hl, hr), max(cl, cr))
-
     def restrict(self, keep: frozenset[int]) -> "Filtration | None":
         return _restrict_unit_absorbing(self, keep)
 
@@ -528,11 +496,6 @@ class IntersectionFiltration(Filtration):
 
     def witness_level(self, u: Monomial) -> int:
         return min(self.left.witness_level(u), self.right.witness_level(u))
-
-    def admissibility(self) -> tuple[int, int]:
-        hl, cl = self.left.admissibility()
-        hr, cr = self.right.admissibility()
-        return (max(hl, hr), max(cl, cr))
 
     def restrict(self, keep: frozenset[int]) -> "Filtration | None":
         return _restrict_unit_absorbing(self, keep)
@@ -585,11 +548,6 @@ class BinomialSum(Filtration):
                     best = max(best, i + self.right.witness_level(u.quotient(g)))
         return best
 
-    def admissibility(self) -> tuple[int, int]:
-        hl, cl = self.left.admissibility()
-        hr, cr = self.right.admissibility()
-        return (hl + hr, cl + cr)
-
     def restrict(self, keep: frozenset[int]) -> "BinomialSum | None":
         # e_r contains a_r and b_r, so a unit side makes every e_r the unit
         left, right = self.left.restrict(keep), self.right.restrict(keep)
@@ -610,19 +568,16 @@ class BinomialSum(Filtration):
         )
 
 
-# how far every caller checks a Veronese annotation a_{k d} = (a_d)^k: the
-# 7-cycle's symbolic and ordinary powers first differ at 4 (a (2m+1)-cycle's
-# at m + 1), so longer odd cycles still pass this finite check
-VERONESE_VERIFY_DEPTH = 4
-
-
 @dataclass(frozen=True)
 class VeroneseAnnotation(Filtration):
-    """A filtration together with the assertion that a_{k d} = (a_d)^k.
+    """A filtration together with the user's assertion a_{k d} = (a_d)^k.
 
-    The assertion is user-supplied and checked on demand by ``verify``,
-    for k <= VERONESE_VERIFY_DEPTH only; the threshold engine and
-    `skew_waldschmidt` use it, once checked, to reduce to level d.
+    The annotation changes no level, so every question is answered as for
+    its base: thresholds and Waldschmidt constants come from the base's
+    Newton body and never rest on the assertion.  ``verify`` is a
+    diagnostic that checks it for k <= k_max only; the 7-cycle's symbolic
+    and ordinary powers first differ at k = 4 (a (2m+1)-cycle's at
+    m + 1), so no finite depth proves it.
     """
 
     base: Filtration
@@ -645,14 +600,11 @@ class VeroneseAnnotation(Filtration):
     def witness_level(self, u: Monomial) -> int:
         return self.base.witness_level(u)
 
-    def admissibility(self) -> tuple[int, int]:
-        return self.base.admissibility()
-
     def restrict(self, keep: frozenset[int]) -> "VeroneseAnnotation | None":
         base = self.base.restrict(keep)
         return None if base is None else VeroneseAnnotation(base, self.degree)
 
-    def verify(self, k_max: int = VERONESE_VERIFY_DEPTH) -> bool:
+    def verify(self, k_max: int = 4) -> bool:
         """Check a_{k d} = (a_d)^k for k = 1..k_max: a finite check, not a
         proof of the assertion for every k."""
         vd = self.base.level(self.degree)
@@ -706,58 +658,6 @@ def verify_filtration_axioms(filtration: Filtration, r_max: int) -> AxiomReport:
             if not levels[i + j].contains_ideal(levels[i] * levels[j]):
                 violations.append(f"a_{i} * a_{j} not contained in a_{i + j}")
     return AxiomReport(not violations, r_max, tuple(violations))
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    ok: bool
-    h: int
-    c: int
-    k: int
-    failures: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "h": self.h,
-            "c": self.c,
-            "k": self.k,
-            "failures": list(self.failures),
-        }
-
-
-def is_admissible_witness(
-    filtration: Filtration,
-    target: MonomialIdeal,
-    p: int,
-    h: int,
-    c: int,
-    k: int,
-    e_max: int = 2,
-    m_max: int = 3,
-) -> AdmissibilityReport:
-    """Finite verification that (h, c, k) witness admissibility with
-    respect to the target: a_k subseteq target and
-    a_{(h+m)p^e + c} subseteq a_{m+1}^{[p^e]} for e <= e_max, m <= m_max."""
-    if target.nvars != filtration.nvars:
-        raise AmbientMismatchError("target lives in a different ring")
-    failures: list[str] = []
-    if not target.contains_ideal(filtration.level(k)):
-        failures.append(f"a_{k} is not contained in the target")
-    for e in range(e_max + 1):
-        q = p**e
-        for m in range(m_max + 1):
-            lvl = (h + m) * q + c
-            if lvl < 0:
-                failures.append(f"(h+m)q+c = {lvl} < 0 at e={e}, m={m}")
-                continue
-            lhs = filtration.level(lvl)
-            rhs = filtration.level(m + 1).bracket_power(q)
-            if not rhs.contains_ideal(lhs):
-                failures.append(
-                    f"a_{lvl} not contained in a_{m + 1}^[{q}] (e={e}, m={m})"
-                )
-    return AdmissibilityReport(not failures, h, c, k, tuple(failures))
 
 
 # ---------------------------------------------------------------------- #

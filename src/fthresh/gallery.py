@@ -204,7 +204,7 @@ def _fix() -> list[Fixture]:
         ),
         Fixture(
             "odd-cycle-cover-bracket-upper",
-            "bracket upper bound for the C5 cover ideal via valuations",
+            "bracket upper bound for the C5 cover ideal: the threshold",
             "2",
             lambda: _frac(
                 fthreshold_bracket(

@@ -198,18 +198,6 @@ class MonomialIdeal:
     def from_exponents(cls, nvars: int, rows: Iterable[Iterable[int]]) -> "MonomialIdeal":
         return cls(nvars, (Monomial(r) for r in rows))
 
-    @classmethod
-    def variable_prime(cls, nvars: int, variables: Iterable[int]) -> "MonomialIdeal":
-        """The monomial prime (x_j : j in variables)."""
-        gens = []
-        for j in variables:
-            if not 0 <= j < nvars:
-                raise AmbientMismatchError(f"variable index {j} out of range")
-            e = [0] * nvars
-            e[j] = 1
-            gens.append(Monomial(e))
-        return cls(nvars, gens)
-
     # ------------------------------------------------------------------ #
     # predicates and basic data
     # ------------------------------------------------------------------ #
@@ -258,12 +246,6 @@ class MonomialIdeal:
         if self.is_zero():
             raise UnsupportedInputError("alpha of the zero ideal is undefined")
         return min(g.degree() for g in self.gens)
-
-    def support_vars(self) -> frozenset[int]:
-        out: set[int] = set()
-        for g in self.gens:
-            out |= g.support()
-        return frozenset(out)
 
     # ------------------------------------------------------------------ #
     # membership / containment

@@ -20,8 +20,7 @@ are checked in exact arithmetic.  It is the only threshold route for
 ordinary, integral-closure and ceiling powers.
 
 Facets are enumerated only when a caller asks for them (the `rees` and
-`newton` verbs, integral-closure membership and levels, bracket upper
-bounds).  Each selection of k generator points and n - k coordinate
+`newton` verbs, integral-closure membership and levels).  Each selection of k generator points and n - k coordinate
 recession rays with a one-dimensional solution space fixes a candidate
 hyperplane <v, x> = c through them.  The facets are exactly the tight
 candidates: v >= 0, c > 0 and <v, g> >= c on every generator.  Such a

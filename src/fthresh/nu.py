@@ -19,25 +19,26 @@ When some restriction is the unit ideal at every positive level, the
 radical of the filtration is not inside the radical of the target and
 the answer is +infinity, certified.
 
-Exact threshold routes: the threshold LP (min over Rees valuations,
-certified by its weights and multipliers, no facet enumeration) for
-ordinary, integral-closure and, scaled by 1/beta, ceiling powers; height for
-symbolic powers of square-free ideals; min(height_i / weight_i) for
-prime-power intersections; the min law for intersections; and Veronese
-reduction for annotated filtrations.  Everything else gets a certified bracket
-[sup nu/q, min over valuations v of v(x1..xn)/vhat].
+Thresholds: one route per question.  Base rules against the maximal
+ideal keep their closed forms: the threshold LP (min over Rees
+valuations, certified by its weights and multipliers, no facet
+enumeration) for ordinary, integral-closure and, scaled by 1/beta,
+ceiling powers; the height for symbolic powers of square-free ideals;
+min(height_i / weight_i) for prime-power intersections.  Every other
+rule and every other target gets C^T = max over the irreducible
+components Q of T of 1/s*_Q, one certified LP over the limiting Newton
+body (`body.py`); s*_Q = 0 means C^T is infinite.  A Veronese
+annotation is answered as its base: it changes no level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Sequence
 
+from .body import component_threshold
 from .errors import (
     AmbientMismatchError,
-    CapabilityError,
     FThreshError,
     InternalError,
     UnsupportedInputError,
@@ -52,12 +53,10 @@ from .filtration import (
     PrimePowerIntersection,
     ProductFiltration,
     SymbolicSquarefree,
-    VERONESE_VERIFY_DEPTH,
     VeroneseAnnotation,
 )
 from .monomial import Monomial, MonomialIdeal
-from .newton import rees_valuations, threshold_lp
-from .waldschmidt import skew_waldschmidt
+from .newton import threshold_lp
 
 __all__ = [
     "NuRecord",
@@ -70,7 +69,6 @@ __all__ = [
     "fthreshold_symbolic_squarefree",
     "fthreshold_prime_power_intersection",
     "fthreshold_bracket",
-    "veronese_reduce",
     "check_min_law",
     "check_sum_product_laws",
     "LawReport",
@@ -79,11 +77,6 @@ __all__ = [
     "symbolic_fsplit_witness",
     "symbolic_bracket_containment",
 ]
-
-# bracket upper bounds add the Rees facets of a base ideal only while
-# C(#gens + n, n) stays within this budget
-_FACET_ROUTE_BUDGET = 5_000
-
 
 def _require_prime(p: int) -> None:
     if p < 2:
@@ -208,7 +201,7 @@ def nu_sequence(
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    kind: str  # "exact" | "bracket"
+    kind: str  # "exact" | "infinite" | "bracket"
     method: str
     value: Fraction | None = None
     lower: Fraction | None = None
@@ -218,13 +211,13 @@ class ThresholdResult:
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind, "method": self.method}
-        if self.kind == "exact":
-            out["value"] = str(self.value)
-        else:
+        if self.kind == "bracket":
             out["lower"] = None if self.lower is None else str(self.lower)
             out["upper"] = None if self.upper is None else str(self.upper)
             if "e_max" in self.certificate:
                 out["e_max"] = self.certificate["e_max"]
+        else:
+            out["value"] = "inf" if self.value is None else str(self.value)
         out["certificate"] = self.certificate
         if self.notes:
             out["notes"] = list(self.notes)
@@ -237,56 +230,23 @@ def _exact_value(res: ThresholdResult) -> Fraction:
     return res.value
 
 
-def _maximal_target(nvars: int, target: MonomialIdeal | None) -> bool:
-    return target is None or target.is_maximal_ideal()
+def fthreshold_ordinary(ideal: MonomialIdeal) -> ThresholdResult:
+    """C^m(I^bullet) for ordinary powers, through `threshold_lp`.
 
-
-def fthreshold_ordinary(
-    ideal: MonomialIdeal,
-    target: MonomialIdeal | None = None,
-    *,
-    p: int = 2,
-    e_max: int = 6,
-) -> ThresholdResult:
-    """C^I(a^bullet) for ordinary powers.
-
-    Exact for the maximal-ideal target, through `threshold_lp`: the value
-    is min over Rees valuations v of v(x1..xn)/v(I), and the certificate
-    is the valuation LP's weights w with w(x1..xn)/w(I) equal to it.  No
-    facet is enumerated.  Other pure-power targets get a certified
-    bracket: the witness-path sup nu/q from below, and max_exponent * C^m
-    from above (bracket-power monotonicity).
+    The value is min over Rees valuations v of v(x1..xn)/v(I), and the
+    certificate is the valuation LP's weights w with w(x1..xn)/w(I) equal
+    to it.  No facet is enumerated.
     """
     if ideal.is_zero() or ideal.is_unit():
         raise UnsupportedInputError("threshold needs a nonzero proper ideal")
-    if _maximal_target(ideal.nvars, target):
-        value, facet = threshold_lp(ideal)
-        cert = {
-            "valuation": {"weights": [str(a) for a in facet.normal]},
-            "value_on_ideal": str(facet.offset),
-            "value_on_variable_product": str(sum(facet.normal)),
-            "route": "lp",
-        }
-        return ThresholdResult("exact", "rees_valuation", value=value, certificate=cert)
-
-    pure = target.pure_power_all_vars()
-    if pure is None:
-        raise UnsupportedInputError(
-            "ordinary thresholds support the maximal ideal (exact) or "
-            "pure-power targets (bracket)"
-        )
-    seq = nu_sequence(OrdinaryPowers(ideal), target, p, e_max)
-    lower = seq.running_sup or Fraction(0)
-    t = max(pure.values())
-    upper = t * _exact_value(fthreshold_ordinary(ideal))
-    return ThresholdResult(
-        "bracket",
-        "nu_supremum_bracket",
-        lower=lower,
-        upper=upper,
-        certificate={"p": p, "e_max": e_max, "upper_route": f"{t} * C^m"},
-        notes=("only the maximal-ideal target is exact; bracket returned",),
-    )
+    value, facet = threshold_lp(ideal)
+    cert = {
+        "valuation": {"weights": [str(a) for a in facet.normal]},
+        "value_on_ideal": str(facet.offset),
+        "value_on_variable_product": str(sum(facet.normal)),
+        "route": "lp",
+    }
+    return ThresholdResult("exact", "rees_valuation", value=value, certificate=cert)
 
 
 def fthreshold_symbolic_squarefree(ideal: MonomialIdeal) -> ThresholdResult:
@@ -323,173 +283,14 @@ def fthreshold_prime_power_intersection(
     )
 
 
-def veronese_reduce(annotated: VeroneseAnnotation) -> ThresholdResult:
-    """C^m(a_bullet) = d * C^m((a_d)^bullet) for an annotation a_{kd} = (a_d)^k.
-
-    The assertion is checked only finitely, for k <= VERONESE_VERIFY_DEPTH
-    (the same depth `skew_waldschmidt` uses); an annotation that holds that
-    far but fails later is taken at its word.
-    """
-    if not annotated.verify():
-        raise UnsupportedInputError(
-            f"Veronese assertion a_{{k*{annotated.degree}}} = (a_{annotated.degree})^k "
-            f"fails for some k <= {VERONESE_VERIFY_DEPTH}"
-        )
-    d = annotated.degree
-    level_ideal = annotated.base.level(d)
-    inner = _exact_value(fthreshold_ordinary(level_ideal))
-    cert = {
-        "degree": d,
-        "level_ideal": level_ideal.to_json(),
-        "level_threshold": str(inner),
-        "verified_k": VERONESE_VERIFY_DEPTH,
-    }
-    return ThresholdResult(
-        "exact", "veronese_reduction", value=d * inner, certificate=cert
-    )
-
-
-def _candidate_valuations(filtration: Filtration) -> list[tuple[Fraction, ...]]:
-    """Default valuations for bracket upper bounds: the degree valuation
-    plus rule-specific supporting weights."""
-    n = filtration.nvars
-    out: list[tuple[Fraction, ...]] = [tuple(Fraction(1) for _ in range(n))]
-
-    def add_indicator(supp: frozenset[int]) -> None:
-        out.append(tuple(Fraction(1 if j in supp else 0) for j in range(n)))
-
-    def walk(f: Filtration) -> None:
-        if isinstance(f, SymbolicSquarefree):
-            for prime in f.primes:
-                add_indicator(prime)
-        elif isinstance(f, PrimePowerIntersection):
-            for supp, _ in f.components:
-                add_indicator(supp)
-        elif isinstance(f, (OrdinaryPowers, IntegralClosurePowers)):
-            ideal = f.ideal
-            if (
-                not ideal.is_zero()
-                and comb(ideal.num_generators() + n, n) <= _FACET_ROUTE_BUDGET
-            ):
-                for facet in rees_valuations(ideal):
-                    out.append(tuple(Fraction(a) for a in facet.normal))
-        elif isinstance(f, CeilingPower):
-            walk(OrdinaryPowers(f.ideal))
-        elif isinstance(f, (ProductFiltration, IntersectionFiltration, BinomialSum)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, VeroneseAnnotation):
-            walk(f.base)
-
-    walk(filtration)
-    seen = []
-    for v in out:
-        if v not in seen and any(x > 0 for x in v):
-            seen.append(v)
-    return seen[:64]
-
-
-def fthreshold_bracket(
-    filtration: Filtration,
-    p: int,
-    e_max: int,
-    target: MonomialIdeal | None = None,
-    valuations: Iterable[Sequence[Fraction | int]] | None = None,
-) -> ThresholdResult:
-    """Certified bracket for C^m(a_bullet): lower = sup over e <= e_max of
-    nu/q; upper = min over valuations v with certified vhat > 0 of
-    v(x1..xn)/vhat.  Upper bounds from merely-sampled vhat estimates are
-    reported in the certificate but never used as bounds."""
-    if target is not None and not target.is_maximal_ideal():
-        raise UnsupportedInputError(
-            "bracket upper bounds are available for the maximal-ideal target"
-        )
-    target = MonomialIdeal.maximal(filtration.nvars)
-    seq = nu_sequence(filtration, target, p, e_max)
-    lower = seq.running_sup if seq.running_sup is not None else Fraction(0)
-
-    cand = (
-        [tuple(Fraction(x) for x in v) for v in valuations]
-        if valuations is not None
-        else _candidate_valuations(filtration)
-    )
-    upper: Fraction | None = None
-    upper_cert: dict | None = None
-    heuristics: list[dict] = []
-    for v in cand:
-        res = skew_waldschmidt(v, filtration)
-        v_on_ones = sum(v, Fraction(0))
-        certified = res.exact if res.exact is not None else (
-            res.lower if res.lower > 0 else None
-        )
-        if certified is not None and certified > 0:
-            bound = v_on_ones / certified
-            if upper is None or bound < upper:
-                upper = bound
-                upper_cert = {
-                    "weights": [str(x) for x in v],
-                    "vhat": str(certified),
-                    "status": "exact" if res.exact is not None else "lower_bound",
-                }
-        elif res.upper is not None and res.upper > 0:
-            heuristics.append(
-                {
-                    "weights": [str(x) for x in v],
-                    "sampled_vhat_upper": str(res.upper),
-                    "unverified_upper": str(v_on_ones / res.upper),
-                }
-            )
-    if upper is not None and lower > upper:
-        raise FThreshError(
-            f"bracket inversion: lower {lower} > upper {upper} (internal error)"
-        )
-    cert: dict = {"p": p, "e_max": e_max, "nu_records": [r.to_json() for r in seq.records]}
-    if upper_cert is not None:
-        cert["upper_valuation"] = upper_cert
-    if heuristics:
-        cert["unverified_uppers"] = heuristics
-    return ThresholdResult(
-        "bracket", "nu_supremum_bracket", lower=lower, upper=upper, certificate=cert
-    )
-
-
-def fthreshold(
-    filtration: Filtration,
-    *,
-    p: int | None = None,
-    e_max: int | None = None,
-    target: MonomialIdeal | None = None,
-) -> ThresholdResult:
-    """Router: exact closed form when one applies, else a certified bracket
-    (which requires p and e_max)."""
-    if target is not None and not target.is_maximal_ideal():
-        raise UnsupportedInputError(
-            "the threshold router supports the maximal-ideal target; "
-            "use nu_sequence for per-q data against other targets"
-        )
-    f = filtration
-    if isinstance(f, VeroneseAnnotation):
-        try:
-            return veronese_reduce(f)
-        except UnsupportedInputError:
-            f = f.base
-    if isinstance(f, OrdinaryPowers):
-        if f.ideal.is_zero():
-            return ThresholdResult(
-                "exact",
-                "nu_supremum_bracket",
-                value=Fraction(0),
-                notes=("zero filtration: every nu vanishes",),
-            )
+def _closed_form(f: Filtration) -> ThresholdResult | None:
+    """C^m of a base rule by its closed form; None for every other rule."""
+    if isinstance(f, OrdinaryPowers) and not f.ideal.is_zero():
         return fthreshold_ordinary(f.ideal)
     if isinstance(f, IntegralClosurePowers):
         res = fthreshold_ordinary(f.ideal)
-        return ThresholdResult(
-            "exact",
-            res.method,
-            value=res.value,
-            certificate=res.certificate,
-            notes=res.notes + ("closure-stable: same threshold as ordinary powers",),
+        return replace(
+            res, notes=res.notes + ("closure-stable: same threshold as ordinary powers",)
         )
     if isinstance(f, SymbolicSquarefree):
         return fthreshold_symbolic_squarefree(f.ideal)
@@ -509,27 +310,96 @@ def fthreshold(
                 "base_certificate": base.certificate,
             },
         )
-    if isinstance(f, IntersectionFiltration):
-        left = fthreshold(f.left, p=p, e_max=e_max)
-        right = fthreshold(f.right, p=p, e_max=e_max)
-        if left.kind == "exact" and right.kind == "exact":
-            lv, rv = _exact_value(left), _exact_value(right)
+    return None
+
+
+def _body_threshold(f: Filtration, target: MonomialIdeal) -> ThresholdResult:
+    """C^T = max over the irreducible components Q of T of C^Q = 1/s*_Q,
+    each s*_Q one certified LP over the limiting Newton body."""
+    comps = []
+    for keep, b in target.irreducible_components():
+        opt = component_threshold(f, keep, b)
+        if opt is None:
             return ThresholdResult(
                 "exact",
-                "prime_power_min",
-                value=min(lv, rv),
-                certificate={
-                    "law": "C(intersection) = min(C_left, C_right)",
-                    "left": str(lv),
-                    "right": str(rv),
-                },
+                "zero_filtration",
+                value=Fraction(0),
+                certificate={"route": "body_lp", "body": "empty"},
+                notes=("zero filtration: every nu vanishes",),
             )
-    if p is None or e_max is None:
-        raise CapabilityError(
-            "no exact closed form for this filtration; pass p and e_max "
-            "for a certified bracket"
+        s, point = opt
+        comp = {
+            "support": sorted(keep),
+            "exponents": list(b),
+            "s_star": str(s),
+            "point": [str(x) for x in point],
+        }
+        comps.append((s, comp))
+    s = min(s for s, _ in comps)
+    cert = {"route": "body_lp", "components": [c for _, c in comps]}
+    if s == 0:
+        return ThresholdResult(
+            "infinite",
+            "body_lp",
+            certificate=cert,
+            notes=("s* = 0: the filtration's radical is not inside the target's",),
         )
-    return fthreshold_bracket(filtration, p, e_max)
+    return ThresholdResult("exact", "body_lp", value=1 / s, certificate=cert)
+
+
+def fthreshold(
+    filtration: Filtration, *, target: MonomialIdeal | None = None
+) -> ThresholdResult:
+    """C^T(a_bullet), exact (or infinite) for every shipped rule and every
+    proper monomial target T (default: the maximal ideal).
+
+    A Veronese annotation is answered as its base.  Base rules against the
+    maximal ideal take their closed forms; everything else is one
+    certified body LP per irreducible component of T."""
+    f = filtration
+    while isinstance(f, VeroneseAnnotation):
+        f = f.base
+    if target is not None:
+        if target.nvars != f.nvars:
+            raise AmbientMismatchError("target lives in a different ring")
+        if target.is_unit():
+            raise UnsupportedInputError("the threshold against the unit ideal is undefined")
+    if target is None or target.is_maximal_ideal():
+        closed = _closed_form(f)
+        if closed is not None:
+            return closed
+    return _body_threshold(f, target or MonomialIdeal.maximal(f.nvars))
+
+
+def fthreshold_bracket(
+    filtration: Filtration,
+    p: int,
+    e_max: int,
+    target: MonomialIdeal | None = None,
+) -> ThresholdResult:
+    """The bracket [sup over e <= e_max of nu/q, C] around C^T(a_bullet)
+    (target default: the maximal ideal).  The upper end is `fthreshold`'s
+    value; it is None when that is infinite or when the filtration is a
+    `Filtration` subclass with no Newton body."""
+    if target is None:
+        target = MonomialIdeal.maximal(filtration.nvars)
+    if target.is_unit():
+        raise UnsupportedInputError("the threshold against the unit ideal is undefined")
+    seq = nu_sequence(filtration, target, p, e_max)
+    lower = seq.running_sup if seq.running_sup is not None else Fraction(0)
+    cert: dict = {"p": p, "e_max": e_max, "nu_records": [r.to_json() for r in seq.records]}
+    try:
+        threshold = fthreshold(filtration, target=target)
+    except UnsupportedInputError:
+        upper = None
+    else:
+        upper = threshold.value
+        cert["upper_method"] = threshold.method
+    if upper is not None and lower > upper:
+        raise InternalError(f"bracket inversion: lower {lower} > upper {upper}")
+    return ThresholdResult(
+        "bracket", "nu_supremum_bracket", lower=lower, upper=upper, certificate=cert
+    )
 
 
 # ---------------------------------------------------------------------- #

@@ -4,9 +4,10 @@ small independent oracles used across test modules."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import ceil, gcd
 
 import pytest
 
@@ -26,6 +27,7 @@ from fthresh import (
     VeroneseAnnotation,
     solve_lp,
 )
+from fthresh.errors import AmbientMismatchError
 
 
 def random_ideal(
@@ -140,6 +142,72 @@ def random_filtration(rng: random.Random, nvars: int, depth: int = 1) -> Filtrat
     return rule(random_filtration(rng, nvars, depth - 1), random_filtration(rng, nvars, depth - 1))
 
 
+def admissibility(f: Filtration) -> tuple[int, int]:
+    """Pigeonhole constants (h, c) of a shipped rule, with
+    a_{(h+m)q + c} subseteq a_{m+1}^{[q]} for all m and q = p^e: the
+    constants behind the paper's existence results."""
+    if isinstance(f, OrdinaryPowers):
+        return (max(f.ideal.num_generators(), 1), 0)
+    if isinstance(f, SymbolicSquarefree):
+        h = f.ideal.big_height()
+        return (h, 1 - h)
+    if isinstance(f, PrimePowerIntersection):
+        return (max(1 + ceil(Fraction(len(s) - 1, w)) for s, w in f.components), 0)
+    if isinstance(f, IntegralClosurePowers):
+        return (f.nvars - 1 + f.ideal.num_generators(), 0)
+    if isinstance(f, CeilingPower):
+        return (1 + ceil(Fraction(f.ideal.num_generators()) / f.beta), 0)
+    if isinstance(f, VeroneseAnnotation):
+        return admissibility(f.base)
+    (hl, cl), (hr, cr) = admissibility(f.left), admissibility(f.right)
+    if isinstance(f, BinomialSum):
+        return (hl + hr, cl + cr)
+    return (max(hl, hr), max(cl, cr))  # product, intersection
+
+
+@dataclass(frozen=True)
+class AdmissibilityReport:
+    ok: bool
+    h: int
+    c: int
+    k: int
+    failures: tuple[str, ...]
+
+
+def is_admissible_witness(
+    filtration: Filtration,
+    target: MonomialIdeal,
+    p: int,
+    h: int,
+    c: int,
+    k: int,
+    e_max: int = 2,
+    m_max: int = 3,
+) -> AdmissibilityReport:
+    """Finite verification that (h, c, k) witness admissibility with
+    respect to the target: a_k subseteq target and
+    a_{(h+m)p^e + c} subseteq a_{m+1}^{[p^e]} for e <= e_max, m <= m_max."""
+    if target.nvars != filtration.nvars:
+        raise AmbientMismatchError("target lives in a different ring")
+    failures: list[str] = []
+    if not target.contains_ideal(filtration.level(k)):
+        failures.append(f"a_{k} is not contained in the target")
+    for e in range(e_max + 1):
+        q = p**e
+        for m in range(m_max + 1):
+            lvl = (h + m) * q + c
+            if lvl < 0:
+                failures.append(f"(h+m)q+c = {lvl} < 0 at e={e}, m={m}")
+                continue
+            lhs = filtration.level(lvl)
+            rhs = filtration.level(m + 1).bracket_power(q)
+            if not rhs.contains_ideal(lhs):
+                failures.append(
+                    f"a_{lvl} not contained in a_{m + 1}^[{q}] (e={e}, m={m})"
+                )
+    return AdmissibilityReport(not failures, h, c, k, tuple(failures))
+
+
 def general_path_nu(
     filtration: Filtration, target: MonomialIdeal, p: int, e: int
 ) -> tuple[str, int | None]:
@@ -160,7 +228,7 @@ def general_path_nu(
     )
     if k is None:
         raise AssertionError(f"no level up to 64 inside the target for {filtration}")
-    h, c = filtration.admissibility()
+    h, c = admissibility(filtration)
     bracket = target.bracket_power(q)
 
     def contained(r: int) -> bool:

@@ -22,12 +22,17 @@ from fthresh import (
     UnsupportedSymbolicPowerError,
     VeroneseAnnotation,
     filtration_from_json,
-    is_admissible_witness,
     symbolic_filtration,
     verify_filtration_axioms,
 )
 
-from conftest import random_filtration, random_ideal, random_squarefree_ideal
+from conftest import (
+    admissibility,
+    is_admissible_witness,
+    random_filtration,
+    random_ideal,
+    random_squarefree_ideal,
+)
 
 F = Fraction
 xy = MonomialIdeal.from_exponents
@@ -189,11 +194,11 @@ def test_axioms_catch_violation():
 def test_admissibility_witness():
     base = xy(2, [[2, 0], [1, 1]])
     f = OrdinaryPowers(base)
-    h, c = f.admissibility()
+    h, c = admissibility(f)
     rep = is_admissible_witness(f, base, 2, h, c, k=1)
     assert rep.ok
     sym = SymbolicSquarefree(TRIANGLE)
-    h, c = sym.admissibility()
+    h, c = admissibility(sym)
     rep = is_admissible_witness(sym, TRIANGLE, 2, h, c, k=1)
     assert rep.ok
     # too-small constants must be caught

@@ -11,7 +11,6 @@ import fthresh
 from fthresh import (
     AmbientMismatchError,
     BinomialSum,
-    CapabilityError,
     CeilingPower,
     FThreshError,
     IntegralClosurePowers,
@@ -39,7 +38,6 @@ from fthresh import (
     skew_waldschmidt,
     symbolic_bracket_containment,
     symbolic_fsplit_witness,
-    veronese_reduce,
 )
 from fthresh import newton
 from fthresh.hypergraph import Hypergraph, edge_ideal
@@ -231,6 +229,7 @@ def test_threshold_prime_power_min():
 
 def test_threshold_router_each_rule():
     m2 = MonomialIdeal.maximal(2)
+    zero = OrdinaryPowers(MonomialIdeal.zero(2))
     assert fthreshold(OrdinaryPowers(xy(2, [[2, 0], [0, 3]]))).value == F(5, 6)
     assert fthreshold(IntegralClosurePowers(xy(2, [[2, 0], [0, 3]]))).value == F(5, 6)
     assert fthreshold(SymbolicSquarefree(TRIANGLE)).value == 2
@@ -240,16 +239,27 @@ def test_threshold_router_each_rule():
         OrdinaryPowers(MonomialIdeal.maximal(3)),
     )
     res = fthreshold(inter)
-    assert res.value == 2 and res.method == "prime_power_min"
-    assert fthreshold(OrdinaryPowers(MonomialIdeal.zero(2))).value == 0
-    # no closed form without p/e_max
+    assert res.value == 2 and res.method == "body_lp"
+    # composite rules are exact without p or e_max: m^r * m^r = m^(2r)
     prod = ProductFiltration(OrdinaryPowers(m2), OrdinaryPowers(m2))
-    with pytest.raises(CapabilityError):
-        fthreshold(prod)
-    res = fthreshold(prod, p=2, e_max=3)
-    assert res.kind == "bracket" and res.lower <= res.upper
+    res = fthreshold(prod)
+    assert res.kind == "exact" and res.value == 1 and res.method == "body_lp"
+    # zero filtrations: 0 everywhere, and an empty body drops out of a sum
+    res = fthreshold(zero)
+    assert res.value == 0 and res.method == "zero_filtration"
+    assert fthreshold(BinomialSum(zero, OrdinaryPowers(m2))).value == 2
+    res = fthreshold(ProductFiltration(zero, OrdinaryPowers(m2)))
+    assert res.value == 0 and res.method == "zero_filtration"
+    assert fthreshold_bracket(zero, 2, 3).upper == 0
+    # a non-maximal target: m^r is never inside (x1^(2q)), so C is infinite
+    res = fthreshold(OrdinaryPowers(m2), target=xy(2, [[2, 0]]))
+    assert res.kind == "infinite" and res.value is None
+    assert res.to_json()["value"] == "inf"
+    assert nu_value(OrdinaryPowers(m2), xy(2, [[2, 0]]), 2, 3).status == "infinite"
     with pytest.raises(UnsupportedInputError):
-        fthreshold(OrdinaryPowers(m2), target=xy(2, [[2, 0]]))
+        fthreshold(OrdinaryPowers(m2), target=MonomialIdeal.unit(2))
+    with pytest.raises(AmbientMismatchError):
+        fthreshold(OrdinaryPowers(m2), target=MonomialIdeal.maximal(3))
 
 
 class _NoFacets(RuntimeError):
@@ -310,42 +320,49 @@ def test_bracket_certified():
     res = fthreshold_bracket(SymbolicSquarefree(TRIANGLE), 2, 4)
     assert res.lower == F(2 * 15, 16)
     assert res.upper == 2
-    assert res.certificate["upper_valuation"]["status"] == "exact"
+    assert res.certificate["upper_method"] == "symbolic_squarefree"
     assert res.to_json()["e_max"] == 4
 
 
 def test_bracket_product_filtration():
-    # product over disjoint-in-spirit blocks still brackets soundly
+    # level r is (x1^2 x2^3)^r, so C is 1/3, from the body LP
     f = ProductFiltration(
         OrdinaryPowers(xy(2, [[2, 0]])), OrdinaryPowers(xy(2, [[0, 3]]))
     )
-    res = fthreshold_bracket(f, 2, 4)
-    assert res.lower is not None and res.upper is not None
-    assert res.lower <= res.upper
+    res = fthreshold(f)
+    assert res.kind == "exact" and res.method == "body_lp"
+    assert res.value == F(1, 3) == fthreshold(OrdinaryPowers(xy(2, [[2, 3]]))).value
+    bracket = fthreshold_bracket(f, 2, 4)
+    assert bracket.upper == F(1, 3) and bracket.lower <= bracket.upper
+    assert bracket.certificate["upper_method"] == "body_lp"
 
 
 def test_pure_power_target_bracket():
-    res = fthreshold_ordinary(
-        xy(2, [[1, 1]]), xy(2, [[2, 0], [0, 3]]), p=2, e_max=5
-    )
-    assert res.kind == "bracket"
-    assert res.lower == F(2 * 32 - 1, 32)
-    assert res.upper == 3  # 3 * C^m((xy)) = 3 * 1
-    with pytest.raises(UnsupportedInputError):
-        fthreshold_ordinary(xy(2, [[1, 1]]), xy(2, [[2, 1]]))
+    # (xy)^r is outside (x^(2q), y^(3q)) exactly while r < 2q: C = 2
+    f = OrdinaryPowers(xy(2, [[1, 1]]))
+    res = fthreshold(f, target=xy(2, [[2, 0], [0, 3]]))
+    assert res.kind == "exact" and res.method == "body_lp" and res.value == 2
+    bracket = fthreshold_bracket(f, 2, 5, target=xy(2, [[2, 0], [0, 3]]))
+    assert bracket.lower == F(2 * 32 - 1, 32) and bracket.upper == 2
+    # a non-pure target: (x^2 y) = (x^2) cap (y), components 2 and 1
+    res = fthreshold(f, target=xy(2, [[2, 1]]))
+    assert res.value == 2
+    assert sorted(c["s_star"] for c in res.certificate["components"]) == ["1", "1/2"]
 
 
 def test_veronese_reduce():
+    # an annotation is answered as its base, never through its assertion
     base = OrdinaryPowers(xy(2, [[2, 0], [0, 3]]))
-    annotated = VeroneseAnnotation(base, 3)
-    res = veronese_reduce(annotated)
-    assert res.method == "veronese_reduction"
+    res = fthreshold(VeroneseAnnotation(base, 3))
+    assert res.method == "rees_valuation"
     assert res.value == fthreshold_ordinary(xy(2, [[2, 0], [0, 3]])).value
     bad = VeroneseAnnotation(SymbolicSquarefree(TRIANGLE), 1)
-    with pytest.raises(UnsupportedInputError):
-        veronese_reduce(bad)
-    # the router degrades the failed annotation to its base rule
+    assert not bad.verify()
     assert fthreshold(bad).value == 2
+    # a composite base goes to the body LP
+    inter = IntersectionFiltration(base, OrdinaryPowers(xy(2, [[1, 1]])))
+    res = fthreshold(VeroneseAnnotation(inter, 2))
+    assert res.method == "body_lp" and res == fthreshold(inter)
 
 
 def test_veronese_check_depth_rejects_odd_cycle():

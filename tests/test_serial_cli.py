@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from fthresh import FThreshError, MonomialIdeal, OrdinaryPowers, SymbolicSquarefree, cli
+from fthresh import (
+    CapabilityError,
+    FThreshError,
+    MonomialIdeal,
+    OrdinaryPowers,
+    SymbolicSquarefree,
+    cli,
+)
 from fthresh.cli import build_parser, main
 from fthresh.serial import (
     ParseError,
@@ -179,19 +186,16 @@ def test_cli_fthreshold_bracket_requires_p(capsys):
             "right": {"rule": "ordinary", "ideal": {"vars": 1, "generators": [[3]]}},
         }
     )
+    # level r is (x^{5r}), so the threshold is exactly 1/5, with no p or emax
     code, out = run_cli(capsys, "fthreshold", "--filtration", prod)
-    assert code == 1
-    assert json.loads(out)["error"]["type"] == "CapabilityError"
-    code, out = run_cli(
-        capsys, "fthreshold", "--filtration", prod, "-p", "2", "--emax", "3"
-    )
     assert code == 0
     data = json.loads(out)
-    # level r is (x^{5r}), so the true threshold is 1/5; the bracket is
-    # sound around it
-    assert data["kind"] == "bracket"
-    assert data["lower"] == "1/8" and data["upper"] == "1/5"
-    assert data["e_max"] == 3
+    assert data["kind"] == "exact" and data["method"] == "body_lp"
+    assert data["value"] == "1/5"
+    # -p and --emax are not flags of this verb: a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["fthreshold", "--filtration", prod, "-p", "2", "--emax", "3"])
+    assert exc.value.code == 2
 
 
 def test_cli_symbolic_table(capsys):
@@ -416,6 +420,22 @@ _filtrations = _or_junk(
         max_leaves=3,
     )
 )
+# well-formed composites, so that every composite rule reaches the router
+_sound_leaves = st.fixed_dictionaries(
+    {
+        "rule": st.sampled_from(["ordinary", "integral_closure"]),
+        "ideal": st.fixed_dictionaries(
+            {"vars": st.just(2), "generators": st.lists(_exps, min_size=1, max_size=3)}
+        ),
+    }
+)
+_sound_composites = st.fixed_dictionaries(
+    {
+        "rule": st.sampled_from(["product", "intersection", "binomial_sum"]),
+        "left": _sound_leaves,
+        "right": _sound_leaves,
+    }
+)
 _graphs = _or_junk(
     st.integers(2, 4).flatmap(
         lambda n: st.fixed_dictionaries(
@@ -458,8 +478,8 @@ _ideal_texts = st.one_of(
 )
 
 
-def _fthresh_error_names():
-    names, todo = set(), [FThreshError]
+def _error_names(root):
+    names, todo = set(), [root]
     while todo:
         cls = todo.pop()
         names.add(cls.__name__)
@@ -471,6 +491,7 @@ def _fthresh_error_names():
 @settings(max_examples=300, deadline=None)
 @given(
     st.tuples(st.just(("fthreshold", "--filtration")), _filtrations.map(json.dumps))
+    | st.tuples(st.just(("fthreshold", "--filtration")), _sound_composites.map(json.dumps))
     | st.tuples(st.just(("hypergraph", "--graph")), _graphs.map(json.dumps))
     | st.tuples(st.just(("fthreshold", "--ideal")), _ideal_texts)
 )
@@ -483,4 +504,7 @@ def test_cli_fuzzed_json_never_escapes(case):
     if code == 1:
         error = json.loads(buf.getvalue())["error"]
         assert set(error) == {"type", "message"}
-        assert error["type"] in _fthresh_error_names(), error
+        assert error["type"] in _error_names(FThreshError), error
+        # every filtration gets an exact threshold: none is out of reach
+        if command == ("fthreshold", "--filtration"):
+            assert error["type"] not in _error_names(CapabilityError), error

@@ -1,5 +1,5 @@
-"""Skew Waldschmidt constants: exact values per rule, certified
-brackets, and validation."""
+"""Skew Waldschmidt constants: exact values per rule, the body LP for
+composite rules, and validation."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,10 +115,12 @@ def test_ceiling_exact():
 def test_product_and_binomial():
     a = OrdinaryPowers(xy(2, [[1, 0]]))
     b = OrdinaryPowers(xy(2, [[0, 2]]))
+    # product body (1, 2) + R^2_+; binomial-sum body conv((1, 0), (0, 2)) + R^2_+
     prod = skew_waldschmidt([1, 1], ProductFiltration(a, b))
-    assert prod.exact == 3 and prod.method == "product_sum"
+    assert prod.exact == 3 and prod.method == "body_lp"
     bs = skew_waldschmidt([1, 1], BinomialSum(a, b))
-    assert bs.exact == 1 and bs.method == "binomial_min"
+    assert bs.exact == 1 and bs.method == "body_lp"
+    assert skew_waldschmidt([2, 1], BinomialSum(a, b)).exact == 2
 
 
 def test_intersection_bracket_pinches():
@@ -126,7 +128,7 @@ def test_intersection_bracket_pinches():
         OrdinaryPowers(xy(1, [[2]])), OrdinaryPowers(xy(1, [[3]]))
     )
     res = skew_waldschmidt([1], f)
-    assert res.method == "intersection_bracket"
+    assert res.method == "body_lp"
     assert res.lower == res.upper == res.exact == 3
 
 
@@ -134,17 +136,21 @@ def test_intersection_bracket_sound_when_open():
     f = IntersectionFiltration(
         SymbolicSquarefree(TRIANGLE), OrdinaryPowers(MonomialIdeal.maximal(3))
     )
-    res = skew_waldschmidt([1, 1, 1], f, horizon=8)
-    assert res.lower <= res.upper
-    # levels materialized agree with the bracket
-    for r in range(1, 9):
-        assert f.level(r).valuation([1, 1, 1]) >= res.lower * r
+    res = skew_waldschmidt([1, 1, 1], f)
+    # the symbolic body {pair sums >= 1} lies inside {sum >= 1}
+    assert res.exact == F(3, 2) and res.method == "body_lp"
+    # vhat = inf v(a_r)/r, attained at even levels by (x1 x2 x3)^(r/2)
+    for r in range(1, 7):
+        assert f.level(r).valuation([1, 1, 1]) >= res.exact * r
+    assert f.level(6).valuation([1, 1, 1]) == res.exact * 6
 
 
 def test_veronese_level():
+    # an annotation is answered as its base, never through the assertion
     base = OrdinaryPowers(xy(2, [[2, 0], [0, 3]]))
     res = skew_waldschmidt([1, 1], VeroneseAnnotation(base, 3))
-    assert res.exact == 2 and res.method == "veronese_level"
+    assert res.exact == 2 and res.method == "ordinary_exact"
+    assert res.exact == base.level(3).valuation([1, 1]) / 3
 
 
 @dataclass(frozen=True)
@@ -159,9 +165,6 @@ class _DoubledMaximal(Filtration):
     def witness_level(self, u):
         return u.degree() // 2
 
-    def admissibility(self):
-        return (1, 2)
-
     def to_json(self):
         return {"rule": "test_doubled", "nvars": self.nvars}
 
@@ -174,6 +177,8 @@ class _DoubledMaximal(Filtration):
 
 
 def test_generic_fallback_sampled():
-    res = skew_waldschmidt([1, 1], _DoubledMaximal(2), horizon=5)
-    assert res.method == "sampled"
-    assert res.lower == 0 and res.upper == 2 and res.exact is None
+    # a rule with no Newton body gets a typed error
+    with pytest.raises(UnsupportedInputError, match="_DoubledMaximal"):
+        skew_waldschmidt([1, 1], _DoubledMaximal(2))
+    with pytest.raises(UnsupportedInputError, match="_DoubledMaximal"):
+        skew_waldschmidt([1, 1], ProductFiltration(_DoubledMaximal(2), _DoubledMaximal(2)))
