@@ -37,12 +37,12 @@ are one LP each:
   optimum s* = 0 means C^Q is infinite (the finiteness criterion);
 * `waldschmidt`: vhat(v) = min { <v, u> : u in P }.
 
-Every optimum is certified in exact arithmetic: the point is primal
-feasible, the multipliers are dual feasible, and the two objectives are
-equal, which proves optimality by weak duality; a failed check raises
-`InternalError`.  An infeasible LP means an empty body, which is
-cross-checked against the filtration's radical.  A `Filtration` subclass
-this module does not know raises `UnsupportedInputError`.
+Every optimum is certified in exact arithmetic by `solve_lp` itself
+(primal point, dual multipliers, equal objectives: optimality by weak
+duality), so nothing here re-checks it.  An infeasible LP means an empty
+body, which is cross-checked against the filtration's radical.  A
+`Filtration` subclass this module does not know raises
+`UnsupportedInputError`.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ def _minimize(
     rows: list[_Row],
     objective: dict[int, Fraction],
 ) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    """Certified min of the objective over x >= 0 with row . x <= 0 for
-    every row and lam >= 1; None when the body is empty."""
+    """Min of the objective over x >= 0 with row . x <= 0 for every row
+    and lam >= 1 (certified by `solve_lp`); None when the body is empty."""
     lam = filtration.nvars
     c = [Fraction(0)] * ncols
     for j, v in objective.items():
@@ -146,29 +146,9 @@ def _minimize(
         if not filtration.radical().is_zero():
             raise InternalError("body LP is infeasible for a nonzero filtration")
         return None
-    if res.status != "optimal" or res.x is None or res.duals is None:
+    if res.status != "optimal":
         raise InternalError(f"body LP is {res.status}, not optimal")
-    x, (*y, z) = res.x, res.duals
-    if len(x) != ncols or len(y) != len(rows) or any(v < 0 for v in x) or x[lam] < 1:
-        raise InternalError("body LP point is not feasible")
-    # weak duality: y <= 0 on the "<=" rows, z >= 0 on lam >= 1 and
-    # c - A^T y - z e_lam >= 0 give c.x' >= z for every feasible x', so
-    # c.x = z proves x optimal
-    reduced = list(c)
-    reduced[lam] -= z
-    for row, yi in zip(rows, y):
-        if sum(a * x[j] for j, a in row.items()) > 0:
-            raise InternalError("body LP point is not feasible")
-        if yi > 0:
-            raise InternalError("body LP multipliers are not dual feasible")
-        for j, a in row.items():
-            reduced[j] -= yi * a
-    if z < 0 or any(r < 0 for r in reduced):
-        raise InternalError("body LP multipliers are not dual feasible")
-    value = sum((cj * xj for cj, xj in zip(c, x)), Fraction(0))
-    if value != z:
-        raise InternalError("body LP primal and dual objectives differ")
-    return value, x
+    return res.value, res.x
 
 
 def component_threshold(

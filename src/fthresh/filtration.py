@@ -72,6 +72,10 @@ __all__ = [
 ]
 
 _BINSUM_LEVEL_GUARD = 4096
+# the recursive methods spend a few frames per nested rule, so this bound
+# keeps them well under the interpreter's recursion limit
+MAX_DEPTH = 100
+_TOO_DEEP = f"filtration rules nest more than {MAX_DEPTH} deep"
 
 
 @lru_cache(maxsize=4096)
@@ -93,6 +97,7 @@ class Filtration(ABC):
     JSON round-trippable."""
 
     nvars: int
+    depth = 1  # rules nested in this one, itself included; see `_nest`
 
     # -- levels ---------------------------------------------------------- #
 
@@ -409,9 +414,18 @@ class CeilingPower(Filtration):
 # ---------------------------------------------------------------------- #
 
 
-def _check_same_ambient(left: Filtration, right: Filtration) -> None:
-    if left.nvars != right.nvars:
+def _nest(rule: Filtration, *children: Filtration) -> None:
+    """Record a composite rule's depth, raising past `MAX_DEPTH`."""
+    depth = 1 + max(c.depth for c in children)
+    if depth > MAX_DEPTH:
+        raise SizeGuardError(_TOO_DEEP)
+    object.__setattr__(rule, "depth", depth)
+
+
+def _compose(rule) -> None:
+    if rule.left.nvars != rule.right.nvars:
         raise AmbientMismatchError("component filtrations live in different rings")
+    _nest(rule, rule.left, rule.right)
 
 
 def _restrict_unit_absorbing(rule, keep: frozenset[int]) -> "Filtration | None":
@@ -431,7 +445,7 @@ class ProductFiltration(Filtration):
     right: Filtration
 
     def __post_init__(self):
-        _check_same_ambient(self.left, self.right)
+        _compose(self)
 
     @property
     def nvars(self) -> int:
@@ -485,7 +499,7 @@ class IntersectionFiltration(Filtration):
     right: Filtration
 
     def __post_init__(self):
-        _check_same_ambient(self.left, self.right)
+        _compose(self)
 
     @property
     def nvars(self) -> int:
@@ -521,7 +535,7 @@ class BinomialSum(Filtration):
     right: Filtration
 
     def __post_init__(self):
-        _check_same_ambient(self.left, self.right)
+        _compose(self)
 
     @property
     def nvars(self) -> int:
@@ -586,6 +600,7 @@ class VeroneseAnnotation(Filtration):
     def __post_init__(self):
         if self.degree < 1:
             raise UnsupportedInputError("Veronese degree must be >= 1")
+        _nest(self, self.base)
 
     @property
     def nvars(self) -> int:
@@ -667,7 +682,19 @@ def verify_filtration_axioms(filtration: Filtration, r_max: int) -> AxiomReport:
 def filtration_from_json(data: dict) -> Filtration:
     """The filtration a JSON descriptor names; a descriptor that is not an
     object, lacks a field or has a malformed one raises
-    `UnsupportedInputError` naming the field."""
+    `UnsupportedInputError` naming the field, and one nested deeper than
+    `MAX_DEPTH` raises `SizeGuardError` before any recursion."""
+    stack = [(data, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise SizeGuardError(_TOO_DEEP)
+        if isinstance(node, dict):
+            stack += [(node[k], depth + 1) for k in ("left", "right", "base") if k in node]
+    return _from_json(data)
+
+
+def _from_json(data: dict) -> Filtration:
     if not isinstance(data, dict):
         raise UnsupportedInputError(
             f"a filtration descriptor is a JSON object, not {type(data).__name__}"
@@ -702,11 +729,7 @@ def filtration_from_json(data: dict) -> Filtration:
             "intersection": IntersectionFiltration,
             "binomial_sum": BinomialSum,
         }[rule]
-        return cls(
-            field("left", filtration_from_json), field("right", filtration_from_json)
-        )
+        return cls(field("left", _from_json), field("right", _from_json))
     if rule == "veronese":
-        return VeroneseAnnotation(
-            field("base", filtration_from_json), field("degree", int)
-        )
+        return VeroneseAnnotation(field("base", _from_json), field("degree", int))
     raise UnsupportedInputError(f"unknown filtration rule {rule!r}")

@@ -9,11 +9,14 @@ Constraints are triples ``(coeffs, rel, rhs)`` with ``rel`` one of
 ``"<="``, ``"=="``, ``">="``; all variables are implicitly >= 0.
 
 ``LPResult.duals`` is normalized so that ``value == sum(duals[i] * rhs[i])``
-exactly (strong duality) for both senses.
+exactly (strong duality) for both senses.  `_certify` proves every
+``optimal`` result before `solve_lp` returns it, so no caller re-checks
+an optimum.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -22,7 +25,7 @@ from .errors import InternalError, UnsupportedInputError
 
 __all__ = ["LPResult", "solve_lp"]
 
-_RELS = ("<=", "==", ">=")
+_HOLDS = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -38,17 +41,54 @@ def solve_lp(
     constraints: Sequence[tuple[Sequence[Fraction | int], str, Fraction | int]],
     sense: str = "min",
 ) -> LPResult:
+    """Optimize objective . x over x >= 0 under the constraints."""
     if sense not in ("min", "max"):
         raise UnsupportedInputError(f"unknown sense {sense!r}")
     c = [Fraction(v) for v in objective]
+    res = _minimize([-v for v in c] if sense == "max" else c, constraints)
+    if res.status != "optimal":
+        return res
     if sense == "max":
-        inner = solve_lp([-v for v in c], constraints, sense="min")
-        if inner.value is None or inner.duals is None:
-            return inner
-        return LPResult(
-            "optimal", -inner.value, inner.x, tuple(-d for d in inner.duals)
+        res = LPResult("optimal", -res.value, res.x, tuple(-d for d in res.duals))
+    _certify(c, constraints, sense, res)
+    return res
+
+
+def _certify(c, constraints, sense: str, res: LPResult) -> None:
+    """Raise `InternalError` unless res is a proved optimum.  With s = 1
+    for "min" and -1 for "max": x >= 0 meets every constraint, s * y_i is
+    >= 0 on ">=" rows and <= 0 on "<=" rows, s * (c - A^T y) >= 0, and
+    c.x = b.y = value, which proves x optimal by weak duality."""
+    x, y = res.x, res.duals
+    if len(x) != len(c) or len(y) != len(constraints) or min(x, default=0) < 0:
+        raise InternalError("LP certificate: the point has the wrong shape or sign")
+    s = 1 if sense == "min" else -1
+    support = [(j, xj) for j, xj in enumerate(x) if xj]
+    reduced = list(c)
+    dual_value = Fraction(0)
+    for i, ((coeffs, rel, rhs), yi) in enumerate(zip(constraints, y)):
+        if not _HOLDS[rel](sum(coeffs[j] * xj for j, xj in support), rhs):
+            raise InternalError(f"LP certificate: the point violates constraint {i}")
+        if not yi:
+            continue
+        if (rel == ">=" and s * yi < 0) or (rel == "<=" and s * yi > 0):
+            raise InternalError(f"LP certificate: multiplier {i} has the wrong sign")
+        for j, a in enumerate(coeffs):
+            if a:
+                reduced[j] -= yi * a
+        dual_value += yi * rhs
+    if any(s * r < 0 for r in reduced):
+        raise InternalError("LP certificate: the multipliers are not dual feasible")
+    primal_value = sum((c[j] * xj for j, xj in support), Fraction(0))
+    if not primal_value == dual_value == res.value:
+        raise InternalError(
+            f"LP certificate: c.x = {primal_value}, b.y = {dual_value}, "
+            f"value = {res.value}"
         )
 
+
+def _minimize(c: list[Fraction], constraints) -> LPResult:
+    """The two-phase simplex for min c . x; duals as in `solve_lp`."""
     n = len(c)
     rows: list[list[Fraction]] = []
     rels: list[str] = []
@@ -58,7 +98,7 @@ def solve_lp(
         row = [Fraction(v) for v in coeffs]
         if len(row) != n:
             raise UnsupportedInputError("constraint width does not match objective")
-        if rel not in _RELS:
+        if rel not in _HOLDS:
             raise UnsupportedInputError(f"unknown relation {rel!r}")
         b = Fraction(rhs)
         if b < 0:

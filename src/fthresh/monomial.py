@@ -72,10 +72,6 @@ class Monomial:
         self._check(other)
         return Monomial(max(a, b) for a, b in zip(self.exps, other.exps))
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(min(a, b) for a, b in zip(self.exps, other.exps))
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check(other)
         return Monomial(a + b for a, b in zip(self.exps, other.exps))
@@ -90,11 +86,6 @@ class Monomial:
         if not other.divides(self):
             raise UnsupportedInputError(f"{other} does not divide {self}")
         return Monomial(a - b for a, b in zip(self.exps, other.exps))
-
-    def saturating_quotient(self, other: "Monomial") -> "Monomial":
-        """Componentwise max(self - other, 0); the colon-by-monomial kernel."""
-        self._check(other)
-        return Monomial(max(a - b, 0) for a, b in zip(self.exps, other.exps))
 
     def embed(self, nvars: int, offset: int = 0) -> "Monomial":
         if offset < 0 or offset + self.nvars > nvars:
@@ -142,13 +133,22 @@ class Monomial:
 
 
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Divisibility-minimal antichain of a generator list, sorted lex."""
-    uniq = sorted(set(gens), key=lambda m: (m.degree(), m.exps))
-    out: list[Monomial] = []
-    for g in uniq:
-        if not any(h.divides(g) for h in out):
-            out.append(g)
-    return tuple(sorted(out, key=lambda m: m.exps))
+    """Divisibility-minimal antichain of a generator list, sorted lex.
+
+    A proper divisor has strictly lower degree, so each generator is
+    tested only against kept generators of lower degree: a level of one
+    degree (every prime-power level) costs no tests within itself.
+    """
+    below: list[Monomial] = []  # kept generators of lower degree
+    same: list[Monomial] = []  # kept generators of the current degree
+    degree = -1
+    for d, _, g in sorted((m.degree(), m.exps, m) for m in set(gens)):
+        if d != degree:
+            below += same
+            same, degree = [], d
+        if not any(h.divides(g) for h in below):
+            same.append(g)
+    return tuple(sorted(below + same, key=lambda m: m.exps))
 
 
 class MonomialIdeal:
@@ -208,9 +208,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and self.gens[0].is_one()
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def is_square_free(self) -> bool:
         return all(all(e <= 1 for e in g.exps) for g in self.gens)
 
@@ -230,13 +227,6 @@ class MonomialIdeal:
             (j,) = supp
             out[j] = g.exps[j]
         return out
-
-    def pure_power_all_vars(self) -> dict[int, int] | None:
-        """pure_power_map() restricted to the case where every variable occurs."""
-        pp = self.pure_power_map()
-        if pp is not None and len(pp) == self.nvars:
-            return pp
-        return None
 
     def num_generators(self) -> int:
         return len(self.gens)
@@ -306,34 +296,6 @@ class MonomialIdeal:
         return MonomialIdeal(
             self.nvars, (g.lcm(h) for g in self.gens for h in other.gens)
         )
-
-    def colon_monomial(self, u: Monomial) -> "MonomialIdeal":
-        """(I : u) for a monomial u."""
-        if u.nvars != self.nvars:
-            raise AmbientMismatchError("monomial lives in a different ring")
-        return MonomialIdeal(self.nvars, (g.saturating_quotient(u) for g in self.gens))
-
-    def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """(I : J) = intersection of (I : g) over generators g of J."""
-        self._check(other)
-        if other.is_zero():
-            return MonomialIdeal.unit(self.nvars)
-        result = MonomialIdeal.unit(self.nvars)
-        for g in other.gens:
-            result = result.intersect(self.colon_monomial(g))
-        return result
-
-    def saturate(self, other: "MonomialIdeal | Monomial") -> "MonomialIdeal":
-        """(I : J^infinity), computed by iterating the colon to a fixpoint."""
-        current = self
-        while True:
-            if isinstance(other, Monomial):
-                nxt = current.colon_monomial(other)
-            else:
-                nxt = current.colon(other)
-            if nxt == current:
-                return current
-            current = nxt
 
     def bracket_power(self, q: int) -> "MonomialIdeal":
         """The Frobenius power I^[q]: scale every generator exponent by q."""

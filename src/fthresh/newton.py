@@ -13,11 +13,10 @@ integer normalization, exactly the monomial Rees valuations of I:
 
 The threshold never needs the facets: `threshold_lp` solves one LP, the
 valuation LP max { t : <v, g> >= t for all generators g, sum v = 1, v >= 0 },
-whose optimum is s* = min { s : s*(1,..,1) in NP(I) }.  Its weights w
-certify s* from below (w(I) / w(x1..xn) = s*) and its row duals, a convex
-combination of generators under s*(1,..,1), certify it from above; both
-are checked in exact arithmetic.  It is the only threshold route for
-ordinary, integral-closure and ceiling powers.
+whose optimum is s* = min { s : s*(1,..,1) in NP(I) }, certified by
+`solve_lp`; `threshold_lp` checks that its printed weights w reproduce
+s* = w(I) / w(x1..xn).  It is the only threshold route for ordinary,
+integral-closure and ceiling powers.
 
 Facets are enumerated only when a caller asks for them (the `rees` and
 `newton` verbs, integral-closure membership and levels).  Each selection of k generator points and n - k coordinate
@@ -277,14 +276,11 @@ def threshold_lp(ideal: MonomialIdeal) -> tuple[Fraction, FacetInequality]:
     One LP, the valuation LP
     t* = max { t : <v, g> >= t for all generators g, sum v_j = 1, v >= 0 },
     whose optimum is s* = min { s : s*(1,..,1) in NP(I) }; then C = 1/s*.
-    Both sides of the answer are checked in exact arithmetic:
-
-    * the weights x[:n] give w(I) / w(1) = t*, so s* >= t*;
-    * the row duals give multipliers lam_g = -duals[g] with lam >= 0,
-      sum lam = 1 and sum_g lam_g * g_j <= t* for every j, so the convex
-      combination sum lam_g * g lies under t*(1,..,1) and s* <= t*.
-
-    A failed check raises `InternalError`.
+    `solve_lp` certifies t*: its point gives s* >= t*, and its row
+    multipliers lam_g = -duals[g] (lam >= 0, sum lam >= 1, sum_g lam_g *
+    g_j <= t* for every j) put t*(1,..,1) in NP(I), so s* <= t*.  Checked
+    here is only the printed valuation: the primitive weights w of x[:n]
+    must give w(I) / w(1) = t*, else `InternalError`.
     """
     if ideal.is_zero() or ideal.is_unit():
         raise UnsupportedInputError("threshold needs a nonzero proper ideal")
@@ -296,7 +292,7 @@ def threshold_lp(ideal: MonomialIdeal) -> tuple[Fraction, FacetInequality]:
         cons.append((list(g) + [-1], ">=", 0))
     cons.append(([1] * n + [0], "==", 1))
     res = solve_lp([0] * n + [1], cons, sense="max")
-    if res.status != "optimal" or None in (res.value, res.x, res.duals):
+    if res.status != "optimal":
         raise InternalError(f"threshold LP is {res.status}, not optimal")
     s_star = res.value
     if s_star == 0:
@@ -309,12 +305,5 @@ def threshold_lp(ideal: MonomialIdeal) -> tuple[Fraction, FacetInequality]:
     if Fraction(offset, sum(weights)) != s_star:
         raise InternalError(
             f"threshold LP weights {weights} give {offset}/{sum(weights)}, not {s_star}"
-        )
-
-    lam = [-d for d in res.duals[: len(gens)]]
-    under = all(sum(a * g[j] for a, g in zip(lam, gens)) <= s_star for j in range(n))
-    if min(lam) < 0 or sum(lam) != 1 or not under:
-        raise InternalError(
-            f"threshold LP multipliers do not place {s_star}*(1,..,1) in NP(I)"
         )
     return Fraction(1) / s_star, FacetInequality(weights, offset)

@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import UnsupportedInputError, json_value
+from .errors import SizeGuardError, UnsupportedInputError, json_value
 from .monomial import MonomialIdeal
 
 __all__ = [
@@ -146,11 +146,14 @@ def parse_ideal(text: str, nvars: int | None = None) -> MonomialIdeal:
 
 
 def parse_json(text: str, what: str):
-    """Decode JSON input; malformed text raises `ParseError` naming ``what``."""
+    """Decode JSON input; malformed text raises `ParseError` naming ``what``,
+    and text nested too deep for the decoder raises `SizeGuardError`."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad {what} JSON", text.strip()[:40], exc.pos) from exc
+    except RecursionError:
+        raise SizeGuardError(f"{what} JSON is nested too deep to decode") from None
 
 
 def read_source(arg: str | None) -> str:

@@ -4,7 +4,7 @@ small independent oracles used across test modules."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, gcd
@@ -25,6 +25,7 @@ from fthresh import (
     ProductFiltration,
     SymbolicSquarefree,
     VeroneseAnnotation,
+    lp,
     solve_lp,
 )
 from fthresh.errors import AmbientMismatchError
@@ -60,7 +61,7 @@ def random_squarefree_ideal(
             supp = rng.sample(range(nvars), size)
             gens.append([1 if j in supp else 0 for j in range(nvars)])
         ideal = MonomialIdeal.from_exponents(nvars, gens)
-        if not ideal.is_zero() and ideal.is_proper():
+        if not ideal.is_zero() and not ideal.is_unit():
             return ideal
 
 
@@ -322,6 +323,27 @@ def pruned_facets(ideal: MonomialIdeal) -> tuple[FacetInequality, ...]:
         else:
             i += 1
     return tuple(kept)
+
+
+def scale_x(res):
+    return replace(res, x=tuple(2 * v for v in res.x))
+
+
+def scale_duals(res):
+    return replace(res, duals=tuple(3 * d for d in res.duals))
+
+
+def corrupt_simplex(monkeypatch, corrupt) -> None:
+    """Make the simplex hand every optimum it finds through `corrupt`, so
+    that only solve_lp's boundary certificate stands between it and the
+    caller."""
+    simplex = lp._minimize
+
+    def corrupted(*args):
+        res = simplex(*args)
+        return corrupt(res) if res.status == "optimal" else res
+
+    monkeypatch.setattr(lp, "_minimize", corrupted)
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from fthresh import (
 from fthresh.cli import main
 from fthresh.hypergraph import Hypergraph, edge_ideal
 
-from conftest import random_filtration, random_ideal
+from conftest import corrupt_simplex, random_filtration, random_ideal, scale_duals, scale_x
 
 F = Fraction
 BASE_RULES = (
@@ -105,29 +105,23 @@ def test_body_lp_differential():
     assert infinite >= 10 and nus >= 300
 
 
-def _scale_x(res):
-    return type(res)(res.status, res.value, tuple(2 * v for v in res.x), res.duals)
-
-
-def _scale_duals(res):
-    return type(res)(res.status, res.value, res.x, tuple(3 * d for d in res.duals))
-
-
-@pytest.mark.parametrize("corrupt", [_scale_x, _scale_duals], ids=["x", "duals"])
+@pytest.mark.parametrize("corrupt", [scale_x, scale_duals], ids=["x", "duals"])
 def test_body_lp_corrupt_certificate_is_internal_error(monkeypatch, capsys, corrupt):
-    solve = body.solve_lp
-    monkeypatch.setattr(body, "solve_lp", lambda *a, **k: corrupt(solve(*a, **k)))
+    """A wrong body LP optimum is caught by solve_lp's certificate: the
+    threshold and the Waldschmidt constant of a composite filtration raise,
+    and the CLI reports it."""
+    corrupt_simplex(monkeypatch, corrupt)
     prod = ProductFiltration(
         OrdinaryPowers(MonomialIdeal.from_exponents(2, [[2, 0], [0, 3]])),
         SymbolicSquarefree(MonomialIdeal.from_exponents(2, [[1, 1]])),
     )
-    with pytest.raises(InternalError, match="body LP"):
+    with pytest.raises(InternalError, match="LP certificate"):
         fthreshold(prod)
-    with pytest.raises(InternalError, match="body LP"):
+    with pytest.raises(InternalError, match="LP certificate"):
         skew_waldschmidt([1, 2], prod)
     assert main(["fthreshold", "--filtration", json.dumps(prod.to_json())]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
-    assert err["type"] == "InternalError" and "body LP" in err["message"]
+    assert err["type"] == "InternalError" and "LP certificate" in err["message"]
 
 
 C9 = VeroneseAnnotation(SymbolicSquarefree(edge_ideal(Hypergraph.cycle(9))), 1)

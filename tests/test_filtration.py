@@ -17,6 +17,7 @@ from fthresh import (
     OrdinaryPowers,
     PrimePowerIntersection,
     ProductFiltration,
+    SizeGuardError,
     SymbolicSquarefree,
     UnsupportedInputError,
     UnsupportedSymbolicPowerError,
@@ -25,6 +26,7 @@ from fthresh import (
     symbolic_filtration,
     verify_filtration_axioms,
 )
+from fthresh.filtration import MAX_DEPTH
 
 from conftest import (
     admissibility,
@@ -261,3 +263,20 @@ def test_embed_consistency():
     assert g.nvars == 5
     u = Monomial([2, 2, 2])
     assert g.witness_level(u.embed(5, 1)) == f.witness_level(u)
+
+
+def test_composite_nesting_is_bounded():
+    m2 = OrdinaryPowers(MonomialIdeal.maximal(2))
+    f = m2
+    for _ in range(MAX_DEPTH - 1):
+        f = ProductFiltration(f, m2)
+    assert f.depth == MAX_DEPTH
+    assert filtration_from_json(f.to_json()) == f
+    for deeper in (
+        lambda: ProductFiltration(m2, f),
+        lambda: IntersectionFiltration(f, m2),
+        lambda: BinomialSum(f, m2),
+        lambda: VeroneseAnnotation(f, 2),
+    ):
+        with pytest.raises(SizeGuardError):
+            deeper()

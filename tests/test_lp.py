@@ -1,10 +1,18 @@
-"""Exact simplex: known optima, statuses, duality, and a brute-force
-vertex-enumeration oracle on random covering problems."""
+"""Exact simplex: known optima, statuses, duality, a brute-force
+vertex-enumeration oracle on random covering problems, and the boundary
+certificate every caller's optimum passes."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
-from fthresh import solve_lp
+import pytest
+
+from fthresh import InternalError, solve_lp
+from fthresh.cli import main
+from fthresh.hypergraph import Hypergraph, fractional_chromatic, fractional_matching_number
+
+from conftest import corrupt_simplex, scale_duals, scale_x
 
 F = Fraction
 
@@ -126,3 +134,21 @@ def test_random_covering_lps_match_vertex_oracle(rng):
         assert res.value == sum(
             d * c[2] for d, c in zip(res.duals, constraints)
         )
+
+
+@pytest.mark.parametrize("corrupt", [scale_x, scale_duals], ids=["x", "duals"])
+def test_corrupt_optimum_is_internal_error(monkeypatch, capsys, corrupt):
+    """An optimum the simplex gets wrong never leaves solve_lp: the
+    hypergraph LPs raise, and the CLI reports it.  The threshold LP and the
+    body LP are held to the same check in test_nu and test_body."""
+    corrupt_simplex(monkeypatch, corrupt)
+    c5 = Hypergraph.cycle(5)
+    for question in (
+        lambda: fractional_matching_number(c5),
+        lambda: fractional_chromatic(c5),
+    ):
+        with pytest.raises(InternalError, match="LP certificate"):
+            question()
+    assert main(["hypergraph", "--graph", json.dumps(c5.to_json())]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "InternalError" and "LP certificate" in err["message"]

@@ -3,6 +3,7 @@ conventions, threshold routing with certificates, structural laws, and
 the big-height criterion."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -44,7 +45,7 @@ from fthresh.hypergraph import Hypergraph, edge_ideal
 from fthresh.cli import main
 from fthresh.nu import threshold_attainment_report
 
-from conftest import general_path_nu, random_filtration, random_ideal
+from conftest import corrupt_simplex, general_path_nu, random_filtration, random_ideal
 
 F = Fraction
 xy = MonomialIdeal.from_exponents
@@ -290,25 +291,32 @@ def test_exact_thresholds_never_enumerate_facets(monkeypatch):
         rees_valuations(ideal)
 
 
-def _reverse_weights(res):
-    n = len(res.x) - 1  # (v_1..v_n, t)
-    return type(res)(res.status, res.value, res.x[:n][::-1] + res.x[n:], res.duals)
+def _double_multipliers(monkeypatch):
+    # caught by solve_lp's certificate, before threshold_lp sees it
+    corrupt_simplex(
+        monkeypatch, lambda res: replace(res, duals=tuple(2 * d for d in res.duals))
+    )
 
 
-def _double_duals(res):
-    return type(res)(res.status, res.value, res.x, tuple(2 * d for d in res.duals))
+def _reverse_weights(monkeypatch):
+    # after solve_lp: caught by threshold_lp's own weight check
+    def corrupt(res):
+        n = len(res.x) - 1  # (v_1..v_n, t)
+        return replace(res, x=res.x[:n][::-1] + res.x[n:])
+
+    solve = newton.solve_lp
+    monkeypatch.setattr(newton, "solve_lp", lambda *a, **k: corrupt(solve(*a, **k)))
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
-    [(_double_duals, "multipliers"), (_reverse_weights, "weights")],
+    [(_double_multipliers, "LP certificate"), (_reverse_weights, "weights")],
     ids=["multipliers", "weights"],
 )
 def test_threshold_lp_corrupt_certificate_is_internal_error(
     monkeypatch, capsys, corrupt, message
 ):
-    solve = newton.solve_lp
-    monkeypatch.setattr(newton, "solve_lp", lambda *a, **k: corrupt(solve(*a, **k)))
+    corrupt(monkeypatch)
     with pytest.raises(InternalError, match=message):
         fthreshold(OrdinaryPowers(xy(2, [[2, 0], [0, 3]])))
     assert main(["fthreshold", "--ideal", "x1^2;x2^3"]) == 1

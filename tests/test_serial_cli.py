@@ -367,6 +367,19 @@ def test_cli_malformed_json_is_json_error(capsys, verb, flag, data):
     assert error["type"] == "UnsupportedInputError"
 
 
+@pytest.mark.parametrize("depth", [400, 3000])
+def test_cli_deep_descriptor_is_size_guard(capsys, depth):
+    # a chain of Veronese annotations, built as text: 400 deep is refused
+    # before the descriptor is walked recursively, 3,000 deep already by
+    # the JSON decoder
+    base = json.dumps({"rule": "ordinary", "ideal": _IDEAL})
+    text = '{"rule": "veronese", "degree": 1, "base": ' * depth + base + "}" * depth
+    for argv in (("nu", "-p", "2", "-e", "2"), ("waldschmidt", "--weights", "1,1"), ("fthreshold",)):
+        code, out = run_cli(capsys, *argv, "--filtration", text)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "SizeGuardError"
+
+
 _junk = st.sampled_from([None, True, -1, "1/0", "x", [1], {}])
 
 
