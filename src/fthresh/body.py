@@ -20,9 +20,7 @@ stack, so no tree depth meets the recursion limit):
                                               (P = P_left + P_right);
 * intersection:                               one shared (u, lam);
 * binomial sum:                               u >= u1 + u2, lam <= lam1 + lam2
-                                              (Balas: conv of the union);
-* Veronese annotation:                        the base's rows (an
-                                              annotation changes no level).
+                                              (Balas: conv of the union).
 
 The equalities of the textbook formulation (sum mu = lam, lam = lam1 +
 lam2) may be relaxed as written because P is an up-set: scaling mu down
@@ -60,7 +58,6 @@ from .filtration import (
     PrimePowerIntersection,
     ProductFiltration,
     SymbolicSquarefree,
-    VeroneseAnnotation,
 )
 from .lp import solve_lp
 
@@ -118,8 +115,6 @@ def _body(filtration: Filtration) -> tuple[int, list[_Row]]:
             lam1, lam2 = new(2)
             rows.append({lam: 1, lam1: -1, lam2: -1})
             stack += [(f.left, u1, lam1), (f.right, u2, lam2)]
-        elif isinstance(f, VeroneseAnnotation):
-            stack.append((f.base, u, lam))
         else:
             raise UnsupportedInputError(
                 f"no Newton body for the filtration rule {type(f).__name__}"

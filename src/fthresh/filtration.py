@@ -21,7 +21,9 @@ Shipped rules:
 * ``ProductFiltration(F, G)``      c_r = F_r * G_r
 * ``IntersectionFiltration(F, G)`` d_r = F_r cap G_r
 * ``BinomialSum(F, G)``            e_r = sum_i F_i * G_{r-i}
-* ``VeroneseAnnotation(F, d)``     F with the user assertion F_{kd} = (F_d)^k
+
+``filtration_from_json`` also reads one annotation tag, which names no
+rule of its own: it returns the annotated base.
 
 Every rule restricts: ``restrict(S)`` is the filtration of the images
 of the levels under x_j -> 1 for j outside S (restriction is a ring map,
@@ -64,7 +66,6 @@ __all__ = [
     "ProductFiltration",
     "IntersectionFiltration",
     "BinomialSum",
-    "VeroneseAnnotation",
     "symbolic_filtration",
     "verify_filtration_axioms",
     "AxiomReport",
@@ -97,7 +98,7 @@ class Filtration(ABC):
     JSON round-trippable."""
 
     nvars: int
-    depth = 1  # rules nested in this one, itself included; see `_nest`
+    depth = 1  # rules nested in this one, itself included; see `_compose`
 
     # -- levels ---------------------------------------------------------- #
 
@@ -414,18 +415,15 @@ class CeilingPower(Filtration):
 # ---------------------------------------------------------------------- #
 
 
-def _nest(rule: Filtration, *children: Filtration) -> None:
-    """Record a composite rule's depth, raising past `MAX_DEPTH`."""
-    depth = 1 + max(c.depth for c in children)
+def _compose(rule) -> None:
+    """Check a composite rule's sides and record its depth, raising past
+    `MAX_DEPTH`."""
+    if rule.left.nvars != rule.right.nvars:
+        raise AmbientMismatchError("component filtrations live in different rings")
+    depth = 1 + max(rule.left.depth, rule.right.depth)
     if depth > MAX_DEPTH:
         raise SizeGuardError(_TOO_DEEP)
     object.__setattr__(rule, "depth", depth)
-
-
-def _compose(rule) -> None:
-    if rule.left.nvars != rule.right.nvars:
-        raise AmbientMismatchError("component filtrations live in different rings")
-    _nest(rule, rule.left, rule.right)
 
 
 def _restrict_unit_absorbing(rule, keep: frozenset[int]) -> "Filtration | None":
@@ -582,63 +580,6 @@ class BinomialSum(Filtration):
         )
 
 
-@dataclass(frozen=True)
-class VeroneseAnnotation(Filtration):
-    """A filtration together with the user's assertion a_{k d} = (a_d)^k.
-
-    The annotation changes no level, so every question is answered as for
-    its base: thresholds and Waldschmidt constants come from the base's
-    Newton body and never rest on the assertion.  ``verify`` is a
-    diagnostic that checks it for k <= k_max only; the 7-cycle's symbolic
-    and ordinary powers first differ at k = 4 (a (2m+1)-cycle's at
-    m + 1), so no finite depth proves it.
-    """
-
-    base: Filtration
-    degree: int
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise UnsupportedInputError("Veronese degree must be >= 1")
-        _nest(self, self.base)
-
-    @property
-    def nvars(self) -> int:
-        return self.base.nvars
-
-    def _level_impl(self, r: int) -> MonomialIdeal:
-        return self.base.level(r)
-
-    def member(self, r: int, u: Monomial) -> bool:
-        return self.base.member(r, u)
-
-    def witness_level(self, u: Monomial) -> int:
-        return self.base.witness_level(u)
-
-    def restrict(self, keep: frozenset[int]) -> "VeroneseAnnotation | None":
-        base = self.base.restrict(keep)
-        return None if base is None else VeroneseAnnotation(base, self.degree)
-
-    def verify(self, k_max: int = 4) -> bool:
-        """Check a_{k d} = (a_d)^k for k = 1..k_max: a finite check, not a
-        proof of the assertion for every k."""
-        vd = self.base.level(self.degree)
-        for k in range(1, k_max + 1):
-            if self.base.level(k * self.degree) != vd.power(k):
-                return False
-        return True
-
-    def to_json(self) -> dict:
-        return {
-            "rule": "veronese",
-            "base": self.base.to_json(),
-            "degree": self.degree,
-        }
-
-    def embed(self, nvars: int, offset: int = 0) -> "VeroneseAnnotation":
-        return VeroneseAnnotation(self.base.embed(nvars, offset), self.degree)
-
-
 # ---------------------------------------------------------------------- #
 # verification reports
 # ---------------------------------------------------------------------- #
@@ -683,7 +624,13 @@ def filtration_from_json(data: dict) -> Filtration:
     """The filtration a JSON descriptor names; a descriptor that is not an
     object, lacks a field or has a malformed one raises
     `UnsupportedInputError` naming the field, and one nested deeper than
-    `MAX_DEPTH` raises `SizeGuardError` before any recursion."""
+    `MAX_DEPTH` raises `SizeGuardError` before any recursion.
+
+    ``{"rule": "veronese", "base": F, "degree": d}`` (F with the assertion
+    a_{kd} = (a_d)^k, d >= 1) returns F itself: the annotation changes no
+    level, and no finite check proves the assertion (the 7-cycle's
+    symbolic and ordinary powers first differ at k = 4, the 9-cycle's at
+    k = 5), so no answer may rest on it."""
     stack = [(data, 1)]
     while stack:
         node, depth = stack.pop()
@@ -731,5 +678,8 @@ def _from_json(data: dict) -> Filtration:
         }[rule]
         return cls(field("left", _from_json), field("right", _from_json))
     if rule == "veronese":
-        return VeroneseAnnotation(field("base", _from_json), field("degree", int))
+        base = field("base", _from_json)
+        if field("degree", int) < 1:
+            raise UnsupportedInputError("Veronese degree must be >= 1")
+        return base
     raise UnsupportedInputError(f"unknown filtration rule {rule!r}")

@@ -353,6 +353,8 @@ class MonomialIdeal:
         """Max size of a minimal prime (square-free ideals)."""
         if not self.is_square_free():
             raise UnsupportedInputError("big_height implemented for square-free ideals")
+        if self.is_zero() or self.is_unit():
+            raise UnsupportedInputError("big height undefined for zero/unit ideal")
         return max(len(p) for p in self.minimal_primes())
 
     def irreducible_components(

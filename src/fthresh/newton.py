@@ -39,7 +39,12 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Sequence
 
-from .errors import InternalError, SizeGuardError, UnsupportedInputError
+from .errors import (
+    AmbientMismatchError,
+    InternalError,
+    SizeGuardError,
+    UnsupportedInputError,
+)
 from .lp import solve_lp
 from .monomial import Monomial, MonomialIdeal
 
@@ -50,6 +55,7 @@ __all__ = [
     "rees_valuations",
     "integral_closure_contains",
     "integral_closure_generators",
+    "integral_closure_level",
     "threshold_lp",
 ]
 
@@ -216,14 +222,14 @@ def integral_closure_contains(ideal: MonomialIdeal, r: int, u: Monomial) -> bool
     """Is u in the integral closure of I^r?  Exact facet test."""
     if r < 0:
         raise UnsupportedInputError("negative power")
-    if r == 0:
-        return True
-    np_ = newton_polyhedron(ideal)
-    return all(f.value(u) >= r * f.offset for f in np_.essential)
+    return r == 0 or integral_closure_level(ideal, u) >= r
 
 
 def integral_closure_level(ideal: MonomialIdeal, u: Monomial) -> int:
-    """Largest r >= 0 with u in the integral closure of I^r."""
+    """Largest r >= 0 with u in the integral closure of I^r: u lies in it
+    iff <normal, u> >= r * offset on every essential facet."""
+    if u.nvars != ideal.nvars:
+        raise AmbientMismatchError("monomial lives in a different ring")
     np_ = newton_polyhedron(ideal)
     return min(f.value(u) // f.offset for f in np_.essential)
 
@@ -235,6 +241,8 @@ def integral_closure_generators(ideal: MonomialIdeal, r: int) -> MonomialIdeal:
     point of r*NP(I) none of whose coordinate predecessors stays inside.
     Guarded; intended for small instances (tests, axiom checks).
     """
+    if r < 0:
+        raise UnsupportedInputError("negative power")
     if r == 0:
         return MonomialIdeal.unit(ideal.nvars)
     np_ = newton_polyhedron(ideal)

@@ -27,8 +27,7 @@ ceiling powers; the height for symbolic powers of square-free ideals;
 min(height_i / weight_i) for prime-power intersections.  Every other
 rule and every other target gets C^T = max over the irreducible
 components Q of T of 1/s*_Q, one certified LP over the limiting Newton
-body (`body.py`); s*_Q = 0 means C^T is infinite.  A Veronese
-annotation is answered as its base: it changes no level.
+body (`body.py`); s*_Q = 0 means C^T is infinite.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .filtration import (
     PrimePowerIntersection,
     ProductFiltration,
     SymbolicSquarefree,
-    VeroneseAnnotation,
 )
 from .monomial import Monomial, MonomialIdeal
 from .newton import threshold_lp
@@ -153,6 +151,19 @@ def nu_value(
             return NuRecord(e, q, "finite", 0, Fraction(0), "zero filtration")
         return NuRecord(e, q, "infinite", None, None, "nonzero filtration, zero target")
 
+    nu = _witness_nu(filtration, target, q)
+    if nu is None:
+        return NuRecord(
+            e, q, "infinite", None, None,
+            "radical of filtration not inside radical of target",
+        )
+    return NuRecord(e, q, "finite", nu, Fraction(nu, q), "witness")
+
+
+def _witness_nu(filtration: Filtration, target: MonomialIdeal, q: int) -> int | None:
+    """nu^target(q) for a target that is not the unit ideal, as the max
+    over its irreducible components of one witness level each; None when
+    nu is infinite."""
     # restrict to every component first: one None decides nu = infinite
     # before any witness search runs
     n = filtration.nvars
@@ -160,16 +171,12 @@ def nu_value(
     for keep, b in target.irreducible_components():
         f = filtration if len(keep) == n else filtration.restrict(keep)
         if f is None:
-            return NuRecord(
-                e, q, "infinite", None, None,
-                "radical of filtration not inside radical of target",
-            )
+            return None
         restricted.append((f, b))
-    nu = max(
+    return max(
         f.witness_level(Monomial(max(q * x - 1, 0) for x in b))
         for f, b in restricted
     )
-    return NuRecord(e, q, "finite", nu, Fraction(nu, q), "witness")
 
 
 def nu_sequence(
@@ -353,22 +360,19 @@ def fthreshold(
     """C^T(a_bullet), exact (or infinite) for every shipped rule and every
     proper monomial target T (default: the maximal ideal).
 
-    A Veronese annotation is answered as its base.  Base rules against the
-    maximal ideal take their closed forms; everything else is one
-    certified body LP per irreducible component of T."""
-    f = filtration
-    while isinstance(f, VeroneseAnnotation):
-        f = f.base
+    Base rules against the maximal ideal take their closed forms;
+    everything else is one certified body LP per irreducible component
+    of T."""
     if target is not None:
-        if target.nvars != f.nvars:
+        if target.nvars != filtration.nvars:
             raise AmbientMismatchError("target lives in a different ring")
         if target.is_unit():
             raise UnsupportedInputError("the threshold against the unit ideal is undefined")
     if target is None or target.is_maximal_ideal():
-        closed = _closed_form(f)
+        closed = _closed_form(filtration)
         if closed is not None:
             return closed
-    return _body_threshold(f, target or MonomialIdeal.maximal(f.nvars))
+    return _body_threshold(filtration, target or MonomialIdeal.maximal(filtration.nvars))
 
 
 def fthreshold_bracket(
@@ -498,24 +502,18 @@ def symbolic_bracket_containment(
     """Is the level-th symbolic power of the square-free ideal contained in
     target^[q] (target a radical monomial ideal)?
 
-    Decided combinatorially: a monomial avoids target^[q] iff its
-    coordinates below q form a transversal W of the target's generator
-    supports, and the extremal such monomial (q-1 on a minimal W, huge
-    elsewhere) lies in the symbolic power iff (q-1) * min{ |S| : S a
-    minimal prime of the ideal inside W } >= level.
+    A descending filtration's level r lies in target^[q] exactly when
+    r > nu^target(q), so this is one nu evaluation of the symbolic powers,
+    by the witness path of `nu_value`.
     """
     if not ideal.is_square_free() or not target.is_square_free():
         raise UnsupportedInputError("containment check needs radical monomial ideals")
     if level <= 0:
         return target.bracket_power(q).is_unit()
-    primes = ideal.minimal_primes()
-    for w in target.minimal_primes():
-        inner = [s for s in primes if s <= w]
-        if not inner:
-            return False
-        if (q - 1) * min(len(s) for s in inner) >= level:
-            return False
-    return True
+    if target.is_unit():
+        raise UnsupportedInputError("the unit ideal has no minimal primes")
+    nu = _witness_nu(SymbolicSquarefree(ideal), target, q)
+    return nu is not None and nu < level
 
 
 @dataclass(frozen=True)

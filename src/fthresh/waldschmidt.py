@@ -25,8 +25,7 @@ certified LP over the limiting Newton body (`body.py`).  For symbolic
 powers and prime-power intersections this is the covering LP
 min v.x s.t. sum_{j in S} x_j >= w_S over their primes (method tags
 `symbolic_lp` and `prime_power_lp`); products, intersections and
-binomial sums are tagged `body_lp`.  A Veronese annotation is answered
-as its base.
+binomial sums are tagged `body_lp`.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .filtration import (
     OrdinaryPowers,
     PrimePowerIntersection,
     SymbolicSquarefree,
-    VeroneseAnnotation,
 )
 
 __all__ = ["WaldschmidtResult", "skew_waldschmidt"]
@@ -92,9 +90,6 @@ def skew_waldschmidt(
         raise UnsupportedInputError("zero weight vector is not a valuation")
 
     f = filtration
-    while isinstance(f, VeroneseAnnotation):
-        f = f.base
-
     if isinstance(f, OrdinaryPowers) and not f.ideal.is_zero():
         return WaldschmidtResult(w, f.ideal.valuation(w), "ordinary_exact")
 

@@ -24,7 +24,7 @@ from fthresh import (
     PrimePowerIntersection,
     ProductFiltration,
     SymbolicSquarefree,
-    VeroneseAnnotation,
+    filtration_from_json,
     lp,
     solve_lp,
 )
@@ -112,8 +112,9 @@ def naive_power_member(ideal: MonomialIdeal, exps: tuple[int, ...], r: int) -> b
 
 
 def random_filtration(rng: random.Random, nvars: int, depth: int = 1) -> Filtration:
-    """A small random filtration of any of the nine rules; composite rules
-    nest base rules up to the given depth."""
+    """A small random filtration of any of the eight rules, or a
+    `veronese` descriptor over one (read as its base); composite rules and
+    descriptors nest base rules up to the given depth."""
     kinds = ["ordinary", "symbolic", "prime_power", "closure", "ceiling"]
     if depth > 0:
         kinds += ["product", "intersection", "binomial_sum", "veronese"]
@@ -134,7 +135,10 @@ def random_filtration(rng: random.Random, nvars: int, depth: int = 1) -> Filtrat
         beta = Fraction(rng.randint(1, 4), rng.randint(1, 3))
         return CeilingPower(random_ideal(rng, nvars, 2, 2), beta)
     if kind == "veronese":
-        return VeroneseAnnotation(random_filtration(rng, nvars, depth - 1), rng.randint(1, 2))
+        # an annotated base, read as the base by the descriptor parser
+        base = random_filtration(rng, nvars, depth - 1)
+        d = rng.randint(1, 2)
+        return filtration_from_json({"rule": "veronese", "base": base.to_json(), "degree": d})
     rule = {
         "product": ProductFiltration,
         "intersection": IntersectionFiltration,
@@ -158,8 +162,6 @@ def admissibility(f: Filtration) -> tuple[int, int]:
         return (f.nvars - 1 + f.ideal.num_generators(), 0)
     if isinstance(f, CeilingPower):
         return (1 + ceil(Fraction(f.ideal.num_generators()) / f.beta), 0)
-    if isinstance(f, VeroneseAnnotation):
-        return admissibility(f.base)
     (hl, cl), (hr, cr) = admissibility(f.left), admissibility(f.right)
     if isinstance(f, BinomialSum):
         return (hl + hr, cl + cr)

@@ -1,7 +1,7 @@
 """The limiting Newton body LP: agreement with every closed form, the nu
 bound, the finiteness criterion and the min law on random filtrations of
-all nine rules; certificate corruption; and the Veronese annotation that
-no finite check can verify (the 9-cycle)."""
+all eight rules; certificate corruption; and the Veronese annotation that
+no finite check can verify (the 9-cycle), read as its base."""
 
 import json
 import random
@@ -20,10 +20,9 @@ from fthresh import (
     PrimePowerIntersection,
     ProductFiltration,
     SymbolicSquarefree,
-    VeroneseAnnotation,
     body,
+    filtration_from_json,
     fthreshold,
-    fthreshold_bracket,
     nu_value,
     skew_waldschmidt,
 )
@@ -44,7 +43,7 @@ BASE_RULES = (
 
 def _subfiltrations(f):
     yield f
-    for child in ("left", "right", "base"):
+    for child in ("left", "right"):
         if hasattr(f, child):
             yield from _subfiltrations(getattr(f, child))
 
@@ -100,7 +99,7 @@ def test_body_lp_differential():
     assert rules == {
         "OrdinaryPowers", "SymbolicSquarefree", "PrimePowerIntersection",
         "IntegralClosurePowers", "CeilingPower", "ProductFiltration",
-        "IntersectionFiltration", "BinomialSum", "VeroneseAnnotation",
+        "IntersectionFiltration", "BinomialSum",
     }
     assert infinite >= 10 and nus >= 300
 
@@ -124,30 +123,12 @@ def test_body_lp_corrupt_certificate_is_internal_error(monkeypatch, capsys, corr
     assert err["type"] == "InternalError" and "LP certificate" in err["message"]
 
 
-C9 = VeroneseAnnotation(SymbolicSquarefree(edge_ideal(Hypergraph.cycle(9))), 1)
-
-
 def test_c9_veronese_annotation_is_exact():
     # the 9-cycle's symbolic and ordinary powers first differ at level 5,
     # so a finite check of the annotation passes; the answer must not use it
-    res = fthreshold(C9)
+    base = SymbolicSquarefree(edge_ideal(Hypergraph.cycle(9)))
+    c9 = filtration_from_json({"rule": "veronese", "base": base.to_json(), "degree": 1})
+    res = fthreshold(c9)
     assert res.kind == "exact" and res.value == 5
-    assert skew_waldschmidt([1] * 9, C9).exact == F(9, 5)
+    assert skew_waldschmidt([1] * 9, c9).exact == F(9, 5)
 
-
-def test_annotated_rules_never_call_verify(monkeypatch):
-    def broken(self, k_max=4):
-        raise AssertionError("verify() called")
-
-    monkeypatch.setattr(VeroneseAnnotation, "verify", broken)
-    m2 = MonomialIdeal.maximal(2)
-    for base in (
-        OrdinaryPowers(MonomialIdeal.from_exponents(2, [[2, 0], [0, 3]])),
-        CeilingPower(m2, F(3, 2)),
-        BinomialSum(OrdinaryPowers(m2), SymbolicSquarefree(MonomialIdeal.from_exponents(2, [[1, 1]]))),
-    ):
-        annotated = VeroneseAnnotation(base, 2)
-        assert fthreshold(annotated) == fthreshold(base)
-        assert skew_waldschmidt([1, 2], annotated) == skew_waldschmidt([1, 2], base)
-        assert fthreshold_bracket(annotated, 2, 2) == fthreshold_bracket(base, 2, 2)
-    assert fthreshold(C9).value == 5

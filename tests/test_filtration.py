@@ -21,7 +21,6 @@ from fthresh import (
     SymbolicSquarefree,
     UnsupportedInputError,
     UnsupportedSymbolicPowerError,
-    VeroneseAnnotation,
     filtration_from_json,
     symbolic_filtration,
     verify_filtration_axioms,
@@ -58,7 +57,8 @@ def sample_filtrations():
             OrdinaryPowers(xy(2, [[2, 0]])), OrdinaryPowers(xy(2, [[0, 2]]))
         ),
         BinomialSum(OrdinaryPowers(xy(2, [[1, 0]])), OrdinaryPowers(xy(2, [[0, 2]]))),
-        VeroneseAnnotation(OrdinaryPowers(m2), 2),
+        # what a veronese descriptor over m^bullet reads as
+        OrdinaryPowers(m2),
     ]
 
 
@@ -165,11 +165,18 @@ def test_intersection_levels():
 
 
 def test_veronese_annotation():
-    good = VeroneseAnnotation(OrdinaryPowers(MonomialIdeal.maximal(2)), 2)
-    assert good.verify(4)
+    # a veronese descriptor is read as its base; only its degree is checked
+    base = OrdinaryPowers(MonomialIdeal.maximal(2))
+    good = filtration_from_json({"rule": "veronese", "base": base.to_json(), "degree": 2})
+    assert good == base
     assert good.level(3) == MonomialIdeal.maximal(2).power(3)
-    bad = VeroneseAnnotation(SymbolicSquarefree(TRIANGLE), 1)
-    assert not bad.verify(2)  # xyz lies in level 2 but not in (level 1)^2
+    bad = {"rule": "veronese", "base": SymbolicSquarefree(TRIANGLE).to_json(), "degree": 1}
+    assert filtration_from_json(bad) == SymbolicSquarefree(TRIANGLE)
+    for degree in (0, -1):
+        with pytest.raises(UnsupportedInputError, match="degree must be >= 1"):
+            filtration_from_json(dict(bad, degree=degree))
+    with pytest.raises(UnsupportedInputError, match="degree"):
+        filtration_from_json(dict(bad, degree="x"))
 
 
 def test_axioms_up_to_level_12():
@@ -239,7 +246,7 @@ def test_restrict_commutes_with_levels(rng):
                     else:
                         assert g.level(r) == image, (f, keep, r)
                         assert not image.is_unit()
-    assert len(kinds) == 9
+    assert len(kinds) == 8
 
 
 def test_json_round_trip_all_rules():
@@ -276,7 +283,6 @@ def test_composite_nesting_is_bounded():
         lambda: ProductFiltration(m2, f),
         lambda: IntersectionFiltration(f, m2),
         lambda: BinomialSum(f, m2),
-        lambda: VeroneseAnnotation(f, 2),
     ):
         with pytest.raises(SizeGuardError):
             deeper()

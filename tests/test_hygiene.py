@@ -1,6 +1,8 @@
 """Source hygiene: every name a module of the package imports is used in
-that module, and no module states an invariant with ``assert``, which
-``python -O`` strips.  Standard library only (``ast``)."""
+that module, every name a module exports is bound there and the package
+re-exports only what its defining module exports, and no module states an
+invariant with ``assert``, which ``python -O`` strips.  Standard library
+only (``ast``)."""
 
 import ast
 from pathlib import Path
@@ -34,6 +36,23 @@ def _exported_names(tree: ast.Module) -> set[str]:
     return set()
 
 
+def _bound_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level: definitions, assignments and
+    imports."""
+    out = set(_imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return out
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def test_modules_found():
     # an empty glob would parametrize no check at all
     assert len(MODULES) >= 10
@@ -58,3 +77,27 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert not lines, f"{path.name}: assert at lines {lines}; raise InternalError"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    tree = _tree(path)
+    stale = _exported_names(tree) - _bound_names(tree)
+    assert not stale, f"{path.name}: __all__ names nothing bound: {sorted(stale)}"
+
+
+def test_package_exports_are_module_exports():
+    """Each name `fthresh.__all__` takes from a module with an `__all__` is
+    in that module's `__all__`."""
+    init = _tree(SRC / "__init__.py")
+    exported = _exported_names(init)
+    missing = []
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module_all = _exported_names(_tree(SRC / f"{node.module}.py"))
+            missing += [
+                f"{node.module}.{a.name}"
+                for a in node.names
+                if a.name in exported and module_all and a.name not in module_all
+            ]
+    assert not missing, f"re-exported but not in the module's __all__: {missing}"

@@ -9,6 +9,7 @@ import pytest
 
 from fthresh import newton
 from fthresh import (
+    AmbientMismatchError,
     Monomial,
     MonomialIdeal,
     SizeGuardError,
@@ -217,6 +218,23 @@ def test_integral_closure_generators():
             assert closure2.contains_monomial(u) == integral_closure_contains(
                 ideal2, 2, u
             )
+
+
+def test_integral_closure_checks_ring_and_power():
+    ideal = xy(2, [[1, 1]])
+    with pytest.raises(AmbientMismatchError):
+        integral_closure_level(ideal, Monomial([1, 1, 1]))
+    with pytest.raises(AmbientMismatchError):
+        integral_closure_contains(ideal, 1, Monomial([1]))
+    for call in (
+        lambda: integral_closure_generators(ideal, -1),
+        lambda: integral_closure_contains(ideal, -1, Monomial([1, 1])),
+    ):
+        with pytest.raises(UnsupportedInputError, match="negative power"):
+            call()
+    assert integral_closure_contains(ideal, 0, Monomial([0, 0]))
+    assert integral_closure_contains(ideal, 2, Monomial([2, 3]))
+    assert not integral_closure_contains(ideal, 3, Monomial([2, 3]))
 
 
 def test_threshold_lp_known_values():

@@ -3,6 +3,7 @@ conventions, threshold routing with certificates, structural laws, and
 the big-height criterion."""
 
 import json
+import signal
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,15 +25,16 @@ from fthresh import (
     ProductFiltration,
     SymbolicSquarefree,
     UnsupportedInputError,
-    VeroneseAnnotation,
     big_height_criterion,
     check_min_law,
     check_sum_product_laws,
+    filtration_from_json,
     fthreshold,
     fthreshold_bracket,
     fthreshold_ordinary,
     fthreshold_prime_power_intersection,
     fthreshold_symbolic_squarefree,
+    integral_closure_level,
     nu_sequence,
     nu_value,
     rees_valuations,
@@ -142,7 +144,7 @@ def test_general_path_finite_non_pure_target():
 
 
 def test_nu_value_matches_general_path_oracle(rng):
-    """Seeded differential test: random filtrations of all nine rules
+    """Seeded differential test: random filtrations of all eight rules
     against random targets, m-primary or not, infinite cases included."""
     kinds, statuses, non_primary = set(), [], 0
     for _ in range(1000):
@@ -160,7 +162,7 @@ def test_nu_value_matches_general_path_oracle(rng):
             assert "radical" in rec.note
         kinds.add(type(f))
         statuses.append(rec.status)
-    assert len(kinds) == 9
+    assert len(kinds) == 8
     assert statuses.count("infinite") >= 200 and non_primary >= 100
 
 
@@ -358,29 +360,62 @@ def test_pure_power_target_bracket():
     assert sorted(c["s_star"] for c in res.certificate["components"]) == ["1", "1/2"]
 
 
+def _veronese(base, degree):
+    return filtration_from_json({"rule": "veronese", "base": base.to_json(), "degree": degree})
+
+
 def test_veronese_reduce():
     # an annotation is answered as its base, never through its assertion
     base = OrdinaryPowers(xy(2, [[2, 0], [0, 3]]))
-    res = fthreshold(VeroneseAnnotation(base, 3))
+    res = fthreshold(_veronese(base, 3))
     assert res.method == "rees_valuation"
     assert res.value == fthreshold_ordinary(xy(2, [[2, 0], [0, 3]])).value
-    bad = VeroneseAnnotation(SymbolicSquarefree(TRIANGLE), 1)
-    assert not bad.verify()
-    assert fthreshold(bad).value == 2
+    # a false assertion: xyz lies in the triangle's level 2, not in (level 1)^2
+    assert fthreshold(_veronese(SymbolicSquarefree(TRIANGLE), 1)).value == 2
     # a composite base goes to the body LP
     inter = IntersectionFiltration(base, OrdinaryPowers(xy(2, [[1, 1]])))
-    res = fthreshold(VeroneseAnnotation(inter, 2))
+    res = fthreshold(_veronese(inter, 2))
     assert res.method == "body_lp" and res == fthreshold(inter)
 
 
 def test_veronese_check_depth_rejects_odd_cycle():
     # symbolic and ordinary powers of the 7-cycle's edge ideal first differ
-    # at level 4, so a check to k = 3 would accept this annotation
-    c7 = VeroneseAnnotation(SymbolicSquarefree(edge_ideal(Hypergraph.cycle(7))), 1)
-    assert c7.verify(3) and not c7.verify()
+    # at level 4, so a check to k = 3 would accept this annotation; the
+    # answers are the symbolic powers' own
+    c7 = _veronese(SymbolicSquarefree(edge_ideal(Hypergraph.cycle(7))), 1)
     res = fthreshold(c7)
     assert res.value == 4 and res.method == "symbolic_squarefree"
     assert skew_waldschmidt([1] * 7, c7).method == "symbolic_lp"
+
+
+class _TooLong(BaseException):
+    """Raised by the alarm; not an `Exception`, so the CLI cannot report
+    it as an answer."""
+
+
+@pytest.mark.parametrize("e", [12, 13, 40])
+def test_growing_benchmark_question_ends_quickly(capsys, e):
+    # every round of the nu benchmark poses this question at e = 12 + round;
+    # it must answer within the Briancon-Skoda bounds or refuse, in seconds
+    def stop(signum, frame):
+        raise _TooLong(f"nu at e = {e} ran past 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        code = main(["nu", "--ideal", "x1*x2;x1^2;x2^3", "-p", "2", "-e", str(e)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out = json.loads(capsys.readouterr().out)
+    if code == 1:
+        assert out["error"]["type"] == "SizeGuardError"
+        return
+    # nu <= c, the closure level of the witness, and closure(I^c) lies in
+    # I^(c-1) in two variables
+    q = 2**e
+    c = integral_closure_level(xy(2, [[1, 1], [2, 0], [0, 3]]), Monomial([q - 1, q - 1]))
+    assert code == 0 and out["status"] == "finite" and c - 1 <= out["nu"] <= c
 
 
 # ------------------------------------------------------------------ #
@@ -423,6 +458,20 @@ def test_symbolic_bracket_containment_matches_materialized():
             SymbolicSquarefree(TRIANGLE).level(level)
         )
         assert lib == direct
+
+
+def test_containment_tools_reject_the_zero_ideal():
+    zero, m3 = MonomialIdeal.zero(3), MonomialIdeal.maximal(3)
+    for call in (
+        lambda: symbolic_bracket_containment(zero, 1, m3, 2),
+        zero.big_height,
+        lambda: big_height_criterion(zero, m3, 2, 2),
+        lambda: symbolic_fsplit_witness(zero, 2),
+    ):
+        with pytest.raises(UnsupportedInputError):
+            call()
+    # a nonzero ideal lies in no bracket power of the zero ideal
+    assert not symbolic_bracket_containment(TRIANGLE, 1, MonomialIdeal.zero(3), 2)
 
 
 def test_big_height_criterion_unmixed():

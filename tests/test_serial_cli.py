@@ -3,6 +3,7 @@ end to end (exit codes, formats, determinism)."""
 
 import io
 import json
+import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from fthresh.serial import (
     parse_monomial_text,
     read_source,
 )
+
+from conftest import random_filtration
 
 F = Fraction
 
@@ -378,6 +381,24 @@ def test_cli_deep_descriptor_is_size_guard(capsys, depth):
         code, out = run_cli(capsys, *argv, "--filtration", text)
         assert code == 1
         assert json.loads(out)["error"]["type"] == "SizeGuardError"
+
+
+def test_cli_veronese_descriptor_prints_its_base(capsys):
+    # an annotation changes no level: every verb prints its base's answer
+    rng = random.Random(16)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        base = json.dumps(random_filtration(rng, n, depth=rng.randint(0, 2)).to_json())
+        other = json.dumps(random_filtration(rng, n, depth=0).to_json())
+        annotated = f'{{"rule": "veronese", "degree": {rng.randint(1, 3)}, "base": {base}}}'
+        verbs = (
+            ("nu-seq", "-p", "2", "--emax", "2", "--filtration"),
+            ("fthreshold", "--filtration"),
+            ("waldschmidt", "--filtration"),
+            ("laws", "-p", "2", "--emax", "1", "--right", other, "--left"),
+        )
+        for argv in verbs:
+            assert run_cli(capsys, *argv, annotated) == run_cli(capsys, *argv, base)
 
 
 _junk = st.sampled_from([None, True, -1, "1/0", "x", [1], {}])

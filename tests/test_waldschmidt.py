@@ -18,7 +18,7 @@ from fthresh import (
     ProductFiltration,
     SymbolicSquarefree,
     UnsupportedInputError,
-    VeroneseAnnotation,
+    filtration_from_json,
     newton_polyhedron,
     skew_waldschmidt,
     solve_lp,
@@ -148,7 +148,10 @@ def test_intersection_bracket_sound_when_open():
 def test_veronese_level():
     # an annotation is answered as its base, never through the assertion
     base = OrdinaryPowers(xy(2, [[2, 0], [0, 3]]))
-    res = skew_waldschmidt([1, 1], VeroneseAnnotation(base, 3))
+    annotated = filtration_from_json(
+        {"rule": "veronese", "base": base.to_json(), "degree": 3}
+    )
+    res = skew_waldschmidt([1, 1], annotated)
     assert res.exact == 2 and res.method == "ordinary_exact"
     assert res.exact == base.level(3).valuation([1, 1]) / 3
 
