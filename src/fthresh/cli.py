@@ -17,6 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
+from .errors import UnsupportedInputError
 from .filtration import Filtration, OrdinaryPowers, filtration_from_json
 from .gallery import verify_examples
 from .hypergraph import Hypergraph, threshold_bounds_report
@@ -119,7 +120,10 @@ def _csv_lines(data: dict) -> list[str]:
         for r in data["rows"]:
             lines.append(",".join(str(r[k]) for k in keys))
         return lines
-    return [f"{k},{v}" for k, v in data.items() if not isinstance(v, (dict, list))]
+    lines = [f"{k},{v}" for k, v in data.items() if not isinstance(v, (dict, list))]
+    if not lines:
+        raise UnsupportedInputError("this answer has no CSV form; use json or table")
+    return lines
 
 
 # ------------------------------------------------------------------ #

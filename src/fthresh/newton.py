@@ -19,9 +19,12 @@ s* = w(I) / w(x1..xn).  It is the only threshold route for ordinary,
 integral-closure and ceiling powers.
 
 Facets are enumerated only when a caller asks for them (the `rees` and
-`newton` verbs, integral-closure membership and levels).  Each selection of k generator points and n - k coordinate
-recession rays with a one-dimensional solution space fixes a candidate
-hyperplane <v, x> = c through them.  The facets are exactly the tight
+`newton` verbs, integral-closure membership and levels).  Each choice of
+k generators p and k free coordinates J gives the candidate hyperplane
+<v, x> = c with v_j = 0 off J whose (v_J, c) is the vector of signed
+maximal minors of the integer rows [p_J | -1] (Bareiss elimination),
+divided by its gcd and signed so that c > 0; dependent rows have only
+zero minors and give none.  The facets are exactly the tight
 candidates: v >= 0, c > 0 and <v, g> >= c on every generator.  Such a
 hyperplane supports NP(I) and contains n affinely independent points and
 rays of it, so it is a facet; and every essential facet arises from one
@@ -36,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from .errors import (
@@ -92,12 +95,9 @@ class NewtonPolyhedron:
     coordinate: tuple[FacetInequality, ...]
 
     def contains_point(self, point: Sequence[Fraction]) -> bool:
-        if any(p < 0 for p in point):
-            return False
-        for f in self.essential:
-            if sum(Fraction(a) * p for a, p in zip(f.normal, point)) < f.offset:
-                return False
-        return True
+        return all(p >= 0 for p in point) and all(
+            sum(a * p for a, p in zip(f.normal, point)) >= f.offset for f in self.essential
+        )
 
     def to_json(self) -> dict:
         return {
@@ -109,49 +109,32 @@ class NewtonPolyhedron:
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...] | None:
     """Scale a rational vector to primitive integers, preserving sign."""
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
+    den = lcm(*(v.denominator for v in vec))
     ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return None
-    return tuple(v // g for v in ints)
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g else None
 
 
-def _nullspace_direction(rows: list[list[Fraction]]) -> list[Fraction] | None:
-    """A nonzero kernel vector of an (k x w) rational matrix if the kernel is
-    one-dimensional, else None."""
-    w = len(rows[0])
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(w):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss' fraction-free
+    elimination: each entry after step i is an (i+1)-minor, so every
+    division is exact."""
+    m = [row[:] for row in rows]
+    k = len(m)
+    sign, prev = 1, 1
+    for i in range(k):
+        piv = next((r for r in range(i, k) if m[r][i]), None)
         if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(w) if c not in pivots]
-    if len(free) != 1:
-        return None
-    fc = free[0]
-    vec = [Fraction(0)] * w
-    vec[fc] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        vec[pc] = -mat[i][fc]
-    return vec
+            return 0
+        if piv != i:
+            m[i], m[piv] = m[piv], m[i]
+            sign = -sign
+        p = m[i][i]
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                m[r][c] = (p * m[r][c] - m[r][i] * m[i][c]) // prev
+        prev = p
+    return sign * prev
 
 
 @lru_cache(maxsize=512)
@@ -170,36 +153,29 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 
     candidates: dict[tuple[int, ...], int] = {}
     for k in range(1, min(n, len(gens)) + 1):
-        for pts in itertools.combinations(range(len(gens)), k):
-            for coords in itertools.combinations(range(n), n - k):
-                # unknowns (v_1..v_n, c); rows: <v,p> - c = 0, v_j = 0
-                rows: list[list[Fraction]] = []
-                for pi in pts:
-                    rows.append([Fraction(e) for e in gens[pi]] + [Fraction(-1)])
-                for j in coords:
-                    row = [Fraction(0)] * (n + 1)
-                    row[j] = Fraction(1)
-                    rows.append(row)
-                direction = _nullspace_direction(rows)
-                if direction is None:
+        for pts in itertools.combinations(gens, k):
+            for free in itertools.combinations(range(n), k):
+                # (v_free, c) spans the kernel of the rows <v, p> - c = 0
+                rows = [[p[j] for j in free] + [-1] for p in pts]
+                minors = [
+                    (-1) ** i * _det([r[:i] + r[i + 1 :] for r in rows])
+                    for i in range(k + 1)
+                ]
+                c = minors[k]
+                if c == 0:  # also when the rows are dependent
                     continue
-                prim = _primitive(direction)
-                if prim is None:
-                    continue
-                v, c = prim[:n], prim[n]
-                if any(a < 0 for a in v):
-                    if all(a <= 0 for a in v):
-                        v = tuple(-a for a in v)
-                        c = -c
-                    else:
-                        continue
+                g = gcd(*minors) if c > 0 else -gcd(*minors)
+                v = [0] * n
+                for j, m in zip(free, minors):
+                    v[j] = m // g
+                c //= g
                 # keep the hyperplane only if it is tight at its own points
                 # and supports NP(I): then it is a facet
-                if c <= 0 or any(
-                    sum(a * e for a, e in zip(v, g)) < c for g in gens
+                if any(a < 0 for a in v) or any(
+                    sum(a * e for a, e in zip(v, p)) < c for p in gens
                 ):
                     continue
-                candidates[v] = c
+                candidates[tuple(v)] = c
 
     essential = tuple(FacetInequality(v, c) for v, c in sorted(candidates.items()))
     coordinate = tuple(

@@ -40,6 +40,7 @@ from .errors import (
     AmbientMismatchError,
     FThreshError,
     InternalError,
+    SizeGuardError,
     UnsupportedInputError,
 )
 from .filtration import (
@@ -76,14 +77,23 @@ __all__ = [
     "symbolic_bracket_containment",
 ]
 
+# Miller-Rabin on the 13 prime bases 2..41 is exact below this bound
+# (Sorenson-Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _require_prime(p: int) -> None:
-    if p < 2:
+    if p >= _MR_BOUND:
+        raise SizeGuardError(f"characteristic p = {p} is too large to certify prime")
+    s = ((p - 1) & (1 - p)).bit_length() - 1 if p > 1 else 0
+    d = (p - 1) >> s  # p - 1 = d * 2^s with d odd
+    # base a proves p composite unless a^d = 1 or a^(d 2^i) = -1 for an i < s
+    if p < 2 or p not in _MR_BASES and any(
+        pow(a, d, p) != 1 and all(pow(a, d << i, p) != p - 1 for i in range(s))
+        for a in _MR_BASES
+    ):
         raise UnsupportedInputError(f"characteristic p = {p} is not a prime")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise UnsupportedInputError(f"characteristic p = {p} is not a prime")
-        d += 1
 
 
 # ---------------------------------------------------------------------- #
@@ -186,6 +196,8 @@ def nu_sequence(
     e_max: int,
 ) -> NuSequence:
     """nu records for e = 0..e_max; asserts the doubling inequality."""
+    if e_max < 0:
+        raise UnsupportedInputError("e_max must be >= 0")
     records = [nu_value(filtration, target, p, e) for e in range(e_max + 1)]
     for prev, cur in zip(records, records[1:]):
         # finite records carry nu; the others have nu None
@@ -425,6 +437,8 @@ def check_min_law(
     left: Filtration, right: Filtration, p: int, e_max: int
 ) -> LawReport:
     """nu of the intersection filtration against m equals min of the nus."""
+    if e_max < 0:
+        raise UnsupportedInputError("e_max must be >= 0")
     if left.nvars != right.nvars:
         raise AmbientMismatchError("filtrations live in different rings")
     target = MonomialIdeal.maximal(left.nvars)
@@ -454,6 +468,8 @@ def check_sum_product_laws(
     * product filtration against the product target (m_x * m_y) takes
       the max of the nus.
     """
+    if e_max < 0:
+        raise UnsupportedInputError("e_max must be >= 0")
     n1, n2 = left.nvars, right.nvars
     n = n1 + n2
     lf = left.embed(n, 0)
@@ -511,7 +527,8 @@ def symbolic_bracket_containment(
     if level <= 0:
         return target.bracket_power(q).is_unit()
     if target.is_unit():
-        raise UnsupportedInputError("the unit ideal has no minimal primes")
+        # R^[q] = R contains every ideal
+        return True
     nu = _witness_nu(SymbolicSquarefree(ideal), target, q)
     return nu is not None and nu < level
 

@@ -52,6 +52,8 @@ def parse_fraction(text: str) -> Fraction:
 
 def decimal_string(value: Fraction | int, digits: int) -> str:
     """Truncated k-digit decimal rendering, display only."""
+    if digits < 0:
+        raise UnsupportedInputError(f"decimal digits must be >= 0, not {digits}")
     f = Fraction(value)
     scaled = f * 10**digits
     units = abs(scaled.numerator) // scaled.denominator

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used in
 that module, every name a module exports is bound there and the package
-re-exports only what its defining module exports, and no module states an
-invariant with ``assert``, which ``python -O`` strips.  Standard library
+re-exports only what its defining module exports, every top-level function
+and class is referenced outside its own definition, and no module states
+an invariant with ``assert``, which ``python -O`` strips.  Standard library
 only (``ast``)."""
 
 import ast
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fthresh"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fthresh"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -29,11 +31,15 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
 def _exported_names(tree: ast.Module) -> set[str]:
     """The literal `__all__` list: names imported to be re-exported."""
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        if _is_all(node):
             return set(ast.literal_eval(node.value))
     return set()
+
+
+def _is_all(node: ast.stmt) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
 
 
 def _bound_names(tree: ast.Module) -> set[str]:
@@ -101,3 +107,44 @@ def test_package_exports_are_module_exports():
                 if a.name in exported and module_all and a.name not in module_all
             ]
     assert not missing, f"re-exported but not in the module's __all__: {missing}"
+
+
+def _references(stmt: ast.stmt) -> set[str]:
+    """Names a top-level statement refers to: identifiers, attributes,
+    imported names and string constants (`getattr`-style lookups)."""
+    out: set[str] = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_definition_is_referenced():
+    """A top-level function or class of the package that nothing in `src/`,
+    `tests/` or `perfbench/` names, apart from its own body and `__all__`
+    lists, is dead code, such as a helper left behind by a deletion."""
+    paths = [*MODULES, *sorted((ROOT / "tests").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    referenced: set[str] = set()
+    for path in paths:
+        for stmt in _tree(path).body:
+            if _is_all(stmt):
+                continue
+            refs = _references(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                refs.discard(stmt.name)
+            referenced |= refs
+    dead = [
+        f"{path.name}:{stmt.name}"
+        for path in MODULES
+        for stmt in _tree(path).body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and stmt.name not in referenced
+    ]
+    assert not dead, f"defined but never referenced: {dead}"

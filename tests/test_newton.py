@@ -2,8 +2,9 @@
 oracle), integral-closure membership with verified rational certificates,
 and the threshold LP."""
 
+import itertools
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -62,8 +63,40 @@ def test_tight_candidates_match_pruned_oracle(rng):
     for _ in range(80):
         n = rng.randint(1, 4)
         ideals.append(random_ideal(rng, n, max_gens=6, max_exp=3))
+    for _ in range(20):
+        ideals.append(random_ideal(rng, 5, max_gens=5, max_exp=3))
     for ideal in ideals:
         assert newton_polyhedron(ideal).essential == pruned_facets(ideal), ideal
+
+
+def _leibniz_det(rows):
+    """Sum over permutations, each signed by its inversion count."""
+    k = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(k), 2))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(k))
+    return total
+
+
+def test_bareiss_det_matches_leibniz(rng):
+    for trial in range(400):
+        k = rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(k)]
+        if trial % 4 == 1 and k > 1:
+            # a repeated row
+            rows[rng.randrange(k)] = rows[rng.randrange(k)][:]
+        elif trial % 4 == 2 and k > 1:
+            # a row that is an integer combination of two others
+            a, b, c = (rng.randrange(k) for _ in range(3))
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[c] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+        elif trial % 4 == 3:
+            # sparse rows, so zero pivots force row swaps
+            rows = [[x if rng.random() < 0.4 else 0 for x in r] for r in rows]
+        assert newton._det(rows) == _leibniz_det(rows), rows
+    assert newton._det([[0, 1], [1, 0]]) == -1
+    assert newton._det([[2, 4], [1, 2]]) == 0
 
 
 def test_facets_need_no_lp(monkeypatch):

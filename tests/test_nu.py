@@ -23,6 +23,7 @@ from fthresh import (
     OrdinaryPowers,
     PrimePowerIntersection,
     ProductFiltration,
+    SizeGuardError,
     SymbolicSquarefree,
     UnsupportedInputError,
     big_height_criterion,
@@ -433,6 +434,21 @@ def test_min_law():
         check_min_law(left, SymbolicSquarefree(TRIANGLE), 2, 2)
 
 
+def test_negative_emax_is_rejected():
+    left = OrdinaryPowers(xy(2, [[2, 0], [1, 1]]))
+    right = SymbolicSquarefree(xy(2, [[1, 0], [0, 1]]))
+    m2 = MonomialIdeal.maximal(2)
+    for call in (
+        lambda: nu_sequence(left, m2, 2, -1),
+        # a negative e_max must not skip the prime check's error either
+        lambda: nu_sequence(left, m2, 4, -3),
+        lambda: check_min_law(left, right, 2, -1),
+        lambda: check_sum_product_laws(left, right, 2, -1),
+    ):
+        with pytest.raises(UnsupportedInputError):
+            call()
+
+
 def test_sum_product_laws():
     left = OrdinaryPowers(xy(2, [[2, 0], [1, 1]]))
     right = SymbolicSquarefree(xy(2, [[1, 0], [0, 1]]))
@@ -458,6 +474,48 @@ def test_symbolic_bracket_containment_matches_materialized():
             SymbolicSquarefree(TRIANGLE).level(level)
         )
         assert lib == direct
+
+
+def test_every_ideal_lies_in_a_bracket_power_of_the_unit_ideal():
+    unit = MonomialIdeal.unit(3)
+    for level in (0, 1, 4):
+        direct = unit.bracket_power(2).contains_ideal(
+            SymbolicSquarefree(TRIANGLE).level(level)
+        )
+        assert direct and symbolic_bracket_containment(TRIANGLE, level, unit, 2)
+
+
+def test_prime_check_is_exact_and_quick():
+    m1 = MonomialIdeal.maximal(1)
+
+    def nu0(p):
+        return nu_value(OrdinaryPowers(m1), m1, p, 0)
+
+    def stop(signum, frame):
+        raise _TooLong("the prime check ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        for p in (10**18 + 3, 2**61 - 1):
+            assert nu0(p).nu == 0
+        # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+        for p in (4, 10**18 + 7, 3215031751, 1, 0, -7):
+            with pytest.raises(UnsupportedInputError):
+                nu0(p)
+        with pytest.raises(SizeGuardError):
+            nu0(2**89 - 1)
+        for p in range(2, 600):
+            is_prime = all(p % d for d in range(2, p))
+            try:
+                nu0(p)
+                accepted = True
+            except UnsupportedInputError:
+                accepted = False
+            assert accepted == is_prime, p
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_containment_tools_reject_the_zero_ideal():

@@ -17,6 +17,7 @@ from fthresh import (
     MonomialIdeal,
     OrdinaryPowers,
     SymbolicSquarefree,
+    UnsupportedInputError,
     cli,
 )
 from fthresh.cli import build_parser, main
@@ -54,6 +55,11 @@ def test_decimal_string_truncates():
     assert decimal_string(F(2, 3), 4) == "0.6666"
     assert decimal_string(3, 2) == "3.00"
     assert decimal_string(F(5, 2), 1) == "2.5"
+
+
+def test_decimal_string_rejects_negative_digits():
+    with pytest.raises(UnsupportedInputError):
+        decimal_string(F(1, 3), -2)
 
 
 def test_format_fraction():
@@ -242,20 +248,43 @@ def test_cli_hypergraph(capsys):
     assert data["transitive_equality"] is True
 
 
+LAW_LEFT = json.dumps(
+    {"rule": "ordinary", "ideal": {"vars": 2, "generators": [[1, 1]]}}
+)
+LAW_RIGHT = json.dumps(
+    {"rule": "symbolic", "ideal": {"vars": 2, "generators": [[1, 0], [0, 1]]}}
+)
+
+
 def test_cli_laws(capsys):
-    left = json.dumps(
-        {"rule": "ordinary", "ideal": {"vars": 2, "generators": [[1, 1]]}}
-    )
-    right = json.dumps(
-        {"rule": "symbolic", "ideal": {"vars": 2, "generators": [[1, 0], [0, 1]]}}
-    )
     code, out = run_cli(
-        capsys, "laws", "--left", left, "--right", right, "-p", "2", "--emax", "2"
+        capsys, "laws", "--left", LAW_LEFT, "--right", LAW_RIGHT, "-p", "2", "--emax", "2"
     )
     assert code == 0
     data = json.loads(out)
     assert data["min_law"]["ok"] is True
     assert data["disjoint_laws"]["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # display digits below zero
+        ("fthreshold", "--ideal", "x1^2;x2^3", "--decimal", "-2"),
+        # answers with no flat field, no records and no rows have no CSV form
+        ("newton", "--ideal", "x1^2;x2^3", "--format", "csv"),
+        ("laws", "--left", LAW_LEFT, "--right", LAW_RIGHT, "-p", "2",
+         "--emax", "1", "--format", "csv"),
+        # no e at all to answer over
+        ("nu-seq", "--ideal", "x1", "-p", "2", "--emax", "-3"),
+        ("nu-seq", "--ideal", "x1", "-p", "4", "--emax", "-1"),
+        ("laws", "--left", LAW_LEFT, "--right", LAW_RIGHT, "-p", "2", "--emax", "-1"),
+    ],
+)
+def test_cli_vacuous_or_invalid_request_is_typed_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "UnsupportedInputError"
 
 
 def test_cli_parse_error_exits_1(capsys):
