@@ -33,6 +33,7 @@ from .nu import (
     nu_value,
 )
 from .serial import (
+    check_decimal_digits,
     decimal_string,
     format_fraction,
     parse_fraction,
@@ -352,6 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
+        check_decimal_digits(args.decimal)  # every verb, rational fields or not
         return args.run(args, parser)
     except Exception as exc:  # every failure is reported as a JSON error object
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -1,9 +1,8 @@
 """Hypergraph combinatorics feeding the threshold bounds.
 
 Edge ideals, cover ideals (via minimal transversals), matchings (integral
-by branch-and-bound, fractional by exact LP), maximal independent sets,
-fractional chromatic numbers (exact covering LP), Bron-Kerbosch clique
-enumeration, and chordality testing by maximum-cardinality search.
+by branch-and-bound, fractional by exact LP), vertex covers, maximal
+independent sets, and fractional chromatic numbers (exact covering LP).
 
 The bridge identities used elsewhere:
 
@@ -30,16 +29,11 @@ __all__ = [
     "Hypergraph",
     "edge_ideal",
     "cover_ideal",
-    "hypergraph_of_ideal",
     "matching_number",
     "fractional_matching_number",
     "vertex_cover_number",
-    "independence_number",
     "maximal_independent_sets",
     "fractional_chromatic",
-    "max_cliques",
-    "clique_number",
-    "is_chordal",
     "threshold_bounds_report",
 ]
 
@@ -159,13 +153,6 @@ def cover_ideal(h: Hypergraph) -> MonomialIdeal:
     return MonomialIdeal.from_exponents(h.n, gens)
 
 
-def hypergraph_of_ideal(ideal: MonomialIdeal) -> Hypergraph:
-    """The hypergraph whose edge ideal is the given square-free ideal."""
-    if not ideal.is_square_free():
-        raise UnsupportedInputError("edge ideals are square-free")
-    return Hypergraph(ideal.nvars, [g.support() for g in ideal.gens])
-
-
 # ------------------------------------------------------------------ #
 # matchings
 # ------------------------------------------------------------------ #
@@ -199,10 +186,10 @@ def fractional_matching_number(h: Hypergraph) -> Fraction:
     m = len(h.edges)
     constraints = []
     for v in range(h.n):
-        row = [Fraction(1 if v in e else 0) for e in h.edges]
+        row = [1 if v in e else 0 for e in h.edges]
         if any(row):
-            constraints.append((row, "<=", Fraction(1)))
-    return _lp_optimum([Fraction(1)] * m, constraints, "max")
+            constraints.append((row, "<=", 1))
+    return _lp_optimum([1] * m, constraints, "max")
 
 
 def vertex_cover_number(h: Hypergraph) -> int:
@@ -210,11 +197,6 @@ def vertex_cover_number(h: Hypergraph) -> int:
     if not h.edges:
         return 0
     return min(len(w) for w in minimal_transversals(tuple(h.edges)))
-
-
-def independence_number(h: Hypergraph) -> int:
-    """Maximum size of a set containing no edge; equals n - tau."""
-    return h.n - vertex_cover_number(h)
 
 
 def maximal_independent_sets(h: Hypergraph) -> list[frozenset[int]]:
@@ -244,9 +226,9 @@ def fractional_chromatic(h: Hypergraph) -> Fraction:
     sets = maximal_independent_sets(h)
     constraints = []
     for v in range(h.n):
-        row = [Fraction(1 if v in s else 0) for s in sets]
-        constraints.append((row, ">=", Fraction(1)))
-    return _lp_optimum([Fraction(1)] * len(sets), constraints, "min")
+        row = [1 if v in s else 0 for s in sets]
+        constraints.append((row, ">=", 1))
+    return _lp_optimum([1] * len(sets), constraints, "min")
 
 
 def _lp_optimum(objective, constraints, sense: str) -> Fraction:
@@ -255,64 +237,6 @@ def _lp_optimum(objective, constraints, sense: str) -> Fraction:
     if res.value is None:
         raise InternalError(f"{sense} LP is {res.status}, not optimal")
     return res.value
-
-
-# ------------------------------------------------------------------ #
-# cliques and chordality (graphs)
-# ------------------------------------------------------------------ #
-
-
-def max_cliques(g: Hypergraph) -> list[tuple[int, ...]]:
-    """All maximal cliques, Bron-Kerbosch with pivoting.  Isolated
-    vertices appear as singleton cliques."""
-    adj = g.adjacency
-    out: list[tuple[int, ...]] = []
-
-    def bk(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in sorted(p - adj[pivot]):
-            bk(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
-
-    bk(set(), set(range(g.n)), set())
-    return sorted(out, key=lambda c: (len(c), c))
-
-
-def clique_number(g: Hypergraph) -> int:
-    if g.n == 0:
-        return 0
-    return max(len(c) for c in max_cliques(g))
-
-
-def is_chordal(g: Hypergraph) -> bool:
-    """Maximum-cardinality search, then verify the reverse order is a
-    perfect elimination order."""
-    adj = g.adjacency
-    n = g.n
-    weight = [0] * n
-    order: list[int] = []
-    placed = [False] * n
-    for _ in range(n):
-        v = max((u for u in range(n) if not placed[u]), key=lambda u: (weight[u], -u))
-        placed[v] = True
-        order.append(v)
-        for w in adj[v]:
-            if not placed[w]:
-                weight[w] += 1
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        earlier = [w for w in adj[v] if pos[w] < pos[v]]
-        if not earlier:
-            continue
-        u = max(earlier, key=lambda w: pos[w])
-        rest = set(earlier) - {u}
-        if not rest <= adj[u]:
-            return False
-    return True
 
 
 # ------------------------------------------------------------------ #

@@ -23,6 +23,7 @@ from .monomial import MonomialIdeal
 __all__ = [
     "parse_fraction",
     "format_fraction",
+    "check_decimal_digits",
     "decimal_string",
     "parse_ideal",
     "parse_monomial_text",
@@ -50,10 +51,20 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError("not a rational", text.strip(), 0) from exc
 
 
-def decimal_string(value: Fraction | int, digits: int) -> str:
-    """Truncated k-digit decimal rendering, display only."""
+def check_decimal_digits(digits: int) -> None:
+    """A display digit count must be >= 0 and within Python's int-to-str
+    limit (`sys.get_int_max_str_digits`, 0 for none); this is checked
+    before any integer of that many digits is built."""
     if digits < 0:
         raise UnsupportedInputError(f"decimal digits must be >= 0, not {digits}")
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise SizeGuardError(f"{digits} decimal digits exceed the limit of {limit}")
+
+
+def decimal_string(value: Fraction | int, digits: int) -> str:
+    """Truncated k-digit decimal rendering, display only."""
+    check_decimal_digits(digits)
     f = Fraction(value)
     scaled = f * 10**digits
     units = abs(scaled.numerator) // scaled.denominator

@@ -18,6 +18,7 @@ from fthresh import (
     Filtration,
     Hypergraph,
     IntegralClosurePowers,
+    LPResult,
     IntersectionFiltration,
     MonomialIdeal,
     OrdinaryPowers,
@@ -27,8 +28,9 @@ from fthresh import (
     filtration_from_json,
     lp,
     solve_lp,
+    vertex_cover_number,
 )
-from fthresh.errors import AmbientMismatchError
+from fthresh.errors import AmbientMismatchError, InternalError, UnsupportedInputError
 
 
 def random_ideal(
@@ -85,6 +87,76 @@ def random_chordal_graph(rng: random.Random, n: int) -> Hypergraph:
         cliques.append(sub | {v})
     edges = [(u, v) for v in adj for u in adj[v] if u < v]
     return Hypergraph(n, edges)
+
+
+# Graph invariants that no library computation uses; the tests check the
+# hypergraph identities with them.
+
+
+def hypergraph_of_ideal(ideal: MonomialIdeal) -> Hypergraph:
+    """The hypergraph whose edge ideal is the given square-free ideal."""
+    if not ideal.is_square_free():
+        raise UnsupportedInputError("edge ideals are square-free")
+    return Hypergraph(ideal.nvars, [g.support() for g in ideal.gens])
+
+
+def independence_number(h: Hypergraph) -> int:
+    """Maximum size of a set containing no edge; equals n - tau."""
+    return h.n - vertex_cover_number(h)
+
+
+def max_cliques(g: Hypergraph) -> list[tuple[int, ...]]:
+    """All maximal cliques, Bron-Kerbosch with pivoting.  Isolated
+    vertices appear as singleton cliques."""
+    adj = g.adjacency
+    out: list[tuple[int, ...]] = []
+
+    def bk(r: set[int], p: set[int], x: set[int]) -> None:
+        if not p and not x:
+            out.append(tuple(sorted(r)))
+            return
+        pivot = max(p | x, key=lambda u: len(adj[u] & p))
+        for v in sorted(p - adj[pivot]):
+            bk(r | {v}, p & adj[v], x & adj[v])
+            p.remove(v)
+            x.add(v)
+
+    bk(set(), set(range(g.n)), set())
+    return sorted(out, key=lambda c: (len(c), c))
+
+
+def clique_number(g: Hypergraph) -> int:
+    """omega(G), 0 for the empty graph."""
+    if g.n == 0:
+        return 0
+    return max(len(c) for c in max_cliques(g))
+
+
+def is_chordal(g: Hypergraph) -> bool:
+    """Maximum-cardinality search, then verify the reverse order is a
+    perfect elimination order."""
+    adj = g.adjacency
+    n = g.n
+    weight = [0] * n
+    order: list[int] = []
+    placed = [False] * n
+    for _ in range(n):
+        v = max((u for u in range(n) if not placed[u]), key=lambda u: (weight[u], -u))
+        placed[v] = True
+        order.append(v)
+        for w in adj[v]:
+            if not placed[w]:
+                weight[w] += 1
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        earlier = [w for w in adj[v] if pos[w] < pos[v]]
+        if not earlier:
+            continue
+        u = max(earlier, key=lambda w: pos[w])
+        rest = set(earlier) - {u}
+        if not rest <= adj[u]:
+            return False
+    return True
 
 
 def naive_power_member(ideal: MonomialIdeal, exps: tuple[int, ...], r: int) -> bool:
@@ -325,6 +397,165 @@ def pruned_facets(ideal: MonomialIdeal) -> tuple[FacetInequality, ...]:
         else:
             i += 1
     return tuple(kept)
+
+
+def fraction_minimize(c: list[Fraction], constraints) -> LPResult:
+    """The retired dense `Fraction` two-phase simplex with Bland's rule,
+    kept as the oracle of `lp._minimize`: the same pivots on rationals, so
+    the same status, value, vertex and duals."""
+    n = len(c)
+    rows: list[list[Fraction]] = []
+    rels: list[str] = []
+    rhss: list[Fraction] = []
+    flipped: list[bool] = []
+    for coeffs, rel, rhs in constraints:
+        row = [Fraction(v) for v in coeffs]
+        if len(row) != n:
+            raise UnsupportedInputError("constraint width does not match objective")
+        if rel not in ("<=", "==", ">="):
+            raise UnsupportedInputError(f"unknown relation {rel!r}")
+        b = Fraction(rhs)
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
+            flipped.append(True)
+        else:
+            flipped.append(False)
+        rows.append(row)
+        rels.append(rel)
+        rhss.append(b)
+
+    m = len(rows)
+    aux_col: list[int | None] = [None] * m
+    art_col: list[int | None] = [None] * m
+    ncols = n
+    for i in range(m):
+        if rels[i] in ("<=", ">="):
+            aux_col[i] = ncols
+            ncols += 1
+    first_art = ncols
+    for i in range(m):
+        if rels[i] in (">=", "=="):
+            art_col[i] = ncols
+            ncols += 1
+
+    T = [[Fraction(0)] * (ncols + 1) for _ in range(m)]
+    basis = [-1] * m
+    for i in range(m):
+        T[i][:n] = rows[i]
+        if aux_col[i] is not None:
+            T[i][aux_col[i]] = Fraction(1 if rels[i] == "<=" else -1)
+        if art_col[i] is not None:
+            T[i][art_col[i]] = Fraction(1)
+            basis[i] = art_col[i]
+        else:
+            basis[i] = aux_col[i]  # "<=" row: slack starts basic
+        T[i][ncols] = rhss[i]
+
+    # ---- phase 1: drive artificial variables to zero --------------------
+    if first_art < ncols:
+        cost1 = [Fraction(0)] * ncols
+        for j in range(first_art, ncols):
+            cost1[j] = Fraction(1)
+        status, cbar = _fraction_simplex(T, basis, cost1, [True] * ncols, m, n, ncols)
+        if status != "optimal":  # the phase-1 objective is bounded below by 0
+            raise InternalError(f"phase-1 LP is {status}")
+        if -cbar[ncols] > 0:
+            return LPResult("infeasible")
+        # pivot surviving artificials out of the basis when possible
+        for i in range(m):
+            if basis[i] >= first_art:
+                enter = next((j for j in range(first_art) if T[i][j] != 0), None)
+                if enter is not None:
+                    _fraction_pivot(T, basis, cbar, i, enter, m, ncols)
+
+    # ---- phase 2 ---------------------------------------------------------
+    cost2 = c + [Fraction(0)] * (ncols - n)
+    eligible = [True] * ncols
+    for j in range(first_art, ncols):
+        eligible[j] = False
+    status, cbar = _fraction_simplex(T, basis, cost2, eligible, m, n, ncols)
+    if status == "unbounded":
+        return LPResult("unbounded")
+
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if 0 <= basis[i] < n:
+            x[basis[i]] = T[i][ncols]
+    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
+
+    duals = [Fraction(0)] * m
+    for i in range(m):
+        # every ">="/"==" row owns a (+1) artificial column, every "<=" row
+        # a (+1) slack column; the reduced cost of a (+e_i) column is -y_i.
+        col = art_col[i] if art_col[i] is not None else aux_col[i]
+        y = -cbar[col]
+        duals[i] = -y if flipped[i] else y
+    return LPResult("optimal", value, tuple(x), tuple(duals))
+
+
+def _fraction_simplex(T, basis, cost, eligible, m, n, ncols):
+    """Minimize cost over the current tableau; Bland's rule throughout.
+
+    Returns (status, cbar) where cbar is the reduced-cost row with the
+    negated objective value in its last slot.
+    """
+    cbar = list(cost) + [Fraction(0)]
+    for i in range(m):
+        cb = cost[basis[i]]
+        if cb:
+            Ti = T[i]
+            for j in range(ncols + 1):
+                cbar[j] -= cb * Ti[j]
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if eligible[j] and cbar[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal", cbar
+        leave = -1
+        best: Fraction | None = None
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0:
+                ratio = T[i][ncols] / a
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded", cbar
+        _fraction_pivot(T, basis, cbar, leave, enter, m, ncols)
+
+
+def _fraction_pivot(T, basis, cbar, leave, enter, m, ncols):
+    row = T[leave]
+    piv = row[enter]
+    if piv != 1:
+        inv = Fraction(1) / piv
+        for j in range(ncols + 1):
+            if row[j]:
+                row[j] *= inv
+    for i in range(m):
+        if i != leave:
+            f = T[i][enter]
+            if f:
+                Ti = T[i]
+                for j in range(ncols + 1):
+                    if row[j]:
+                        Ti[j] -= f * row[j]
+    f = cbar[enter]
+    if f:
+        for j in range(ncols + 1):
+            if row[j]:
+                cbar[j] -= f * row[j]
+    basis[leave] = enter
 
 
 def scale_x(res):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from math import ceil, floor
 
-from conftest import random_ideal, random_squarefree_ideal
+from conftest import clique_number, is_chordal, random_ideal, random_squarefree_ideal
 
 from fthresh import (
     BinomialSum,
@@ -37,7 +37,6 @@ from fthresh import (
     nu_value,
     verify_filtration_axioms,
 )
-from fthresh.hypergraph import clique_number, is_chordal
 
 F = Fraction
 

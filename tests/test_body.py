@@ -1,7 +1,8 @@
 """The limiting Newton body LP: agreement with every closed form, the nu
 bound, the finiteness criterion and the min law on random filtrations of
-all eight rules; certificate corruption; and the Veronese annotation that
-no finite check can verify (the 9-cycle), read as its base."""
+all eight rules; deep product chains against the powers they equal;
+certificate corruption; and the Veronese annotation that no finite check
+can verify (the 9-cycle), read as its base."""
 
 import json
 import random
@@ -23,6 +24,7 @@ from fthresh import (
     body,
     filtration_from_json,
     fthreshold,
+    fthreshold_ordinary,
     nu_value,
     skew_waldschmidt,
 )
@@ -102,6 +104,34 @@ def test_body_lp_differential():
         "IntersectionFiltration", "BinomialSum",
     }
     assert infinite >= 10 and nus >= 300
+
+
+def _chain_cases():
+    rng = random.Random(20261021)
+    yield MonomialIdeal.from_exponents(2, [[1, 1], [2, 0], [0, 3]]), 20
+    found = 0
+    while found < 2:  # two random ideals with at least three generators
+        ideal = random_ideal(rng, 3, 4, 3)
+        if ideal.num_generators() >= 3:
+            found += 1
+            yield ideal, 10
+
+
+@pytest.mark.parametrize("ideal, k", list(_chain_cases()), ids=["k20", "random1", "random2"])
+def test_deep_product_chain_is_the_power_of_its_ideal(ideal, k):
+    """A k-deep product chain of OrdinaryPowers(I) has level r equal to
+    (I^r)^k = (I^k)^r, so its body LP answers must be the closed forms of
+    the ordinary powers of I^k: the threshold, and v(I^k) for the
+    Waldschmidt constant."""
+    chain = OrdinaryPowers(ideal)
+    for _ in range(k - 1):
+        chain = ProductFiltration(OrdinaryPowers(ideal), chain)
+    power = ideal.power(k)
+    res = fthreshold(chain)
+    assert res.method == "body_lp"
+    assert res.value == fthreshold_ordinary(power).value
+    weights = [1, 2, 3][: ideal.nvars]
+    assert skew_waldschmidt(weights, chain).exact == power.valuation(weights)
 
 
 @pytest.mark.parametrize("corrupt", [scale_x, scale_duals], ids=["x", "duals"])

@@ -1,9 +1,9 @@
 """Source hygiene: every name a module of the package imports is used in
 that module, every name a module exports is bound there and the package
 re-exports only what its defining module exports, every top-level function
-and class is referenced outside its own definition, and no module states
-an invariant with ``assert``, which ``python -O`` strips.  Standard library
-only (``ast``)."""
+and class is referenced outside its own definition, no module states an
+invariant with ``assert``, which ``python -O`` strips, and the simplex's
+pivot loop never names ``Fraction``.  Standard library only (``ast``)."""
 
 import ast
 from pathlib import Path
@@ -148,3 +148,18 @@ def test_every_definition_is_referenced():
         and stmt.name not in referenced
     ]
     assert not dead, f"defined but never referenced: {dead}"
+
+
+def test_simplex_pivot_loop_is_integer_only():
+    """The tableau of `lp._simplex` and `lp._pivot` holds ints with one
+    common denominator; neither function may name `Fraction`, so the pivot
+    loop cannot drift back to rational arithmetic."""
+    funcs = {
+        stmt.name: stmt
+        for stmt in _tree(SRC / "lp.py").body
+        if isinstance(stmt, ast.FunctionDef)
+    }
+    for name in ("_simplex", "_pivot"):
+        named = {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
+        named |= {n.attr for n in ast.walk(funcs[name]) if isinstance(n, ast.Attribute)}
+        assert "Fraction" not in named, f"lp.{name} names Fraction"

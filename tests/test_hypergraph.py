@@ -11,19 +11,22 @@ from fthresh import (
     MonomialIdeal,
     SizeGuardError,
     UnsupportedInputError,
-    clique_number,
     cover_ideal,
     edge_ideal,
     fractional_chromatic,
     fractional_matching_number,
-    hypergraph_of_ideal,
-    independence_number,
-    is_chordal,
     matching_number,
-    max_cliques,
     maximal_independent_sets,
     threshold_bounds_report,
     vertex_cover_number,
+)
+
+from conftest import (
+    clique_number,
+    hypergraph_of_ideal,
+    independence_number,
+    is_chordal,
+    max_cliques,
 )
 
 F = Fraction

@@ -1,18 +1,21 @@
 """Exact simplex: known optima, statuses, duality, a brute-force
-vertex-enumeration oracle on random covering problems, and the boundary
-certificate every caller's optimum passes."""
+vertex-enumeration oracle on random covering problems, the retired
+`Fraction` simplex as a pivot-for-pivot oracle of the integer tableau, and
+the boundary certificate every caller's optimum passes."""
 
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from fthresh import InternalError, solve_lp
+from fthresh import InternalError, lp, solve_lp
 from fthresh.cli import main
 from fthresh.hypergraph import Hypergraph, fractional_chromatic, fractional_matching_number
 
-from conftest import corrupt_simplex, scale_duals, scale_x
+from conftest import corrupt_simplex, fraction_minimize, scale_duals, scale_x
 
 F = Fraction
 
@@ -134,6 +137,46 @@ def test_random_covering_lps_match_vertex_oracle(rng):
         assert res.value == sum(
             d * c[2] for d, c in zip(res.duals, constraints)
         )
+
+
+def _random_rational(rng: random.Random, zero_share: float):
+    """0 with the given probability, else a rational with |numerator| <= 6
+    and denominator <= 6; whole values come back as plain ints at times."""
+    if rng.random() < zero_share:
+        return 0
+    v = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+
+
+def _random_lp(rng: random.Random):
+    n = rng.randint(1, 6)
+    c = [Fraction(_random_rational(rng, 0.2)) for _ in range(n)]
+    if rng.random() < 0.5:  # bounded below by 0: no unbounded case
+        c = [abs(v) for v in c]
+    constraints = []
+    for _ in range(rng.randint(0, 8)):
+        zero_row = rng.random() < 0.08
+        coeffs = [0 if zero_row else _random_rational(rng, 0.3) for _ in range(n)]
+        rhs = _random_rational(rng, 0.25)  # rhs 0: degenerate rows
+        constraints.append((coeffs, rng.choice(["<=", "<=", "==", ">=", ">="]), rhs))
+    return c, constraints
+
+
+def test_integer_tableau_matches_fraction_simplex():
+    """The fraction-free tableau takes the retired simplex's pivots, so
+    status, value, vertex and duals all agree on 600 seeded LPs with every
+    relation, negative and zero right-hand sides, zero rows, and
+    infeasible and unbounded cases."""
+    rng = random.Random(20261021)
+    statuses = Counter()
+    for _ in range(600):
+        c, constraints = _random_lp(rng)
+        got = lp._minimize(c, constraints)
+        assert got == fraction_minimize(c, constraints), (c, constraints)
+        statuses[got.status] += 1
+        if got.status == "optimal":
+            assert solve_lp(c, constraints) == got  # and it passes _certify
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 50, statuses
 
 
 @pytest.mark.parametrize("corrupt", [scale_x, scale_duals], ids=["x", "duals"])

@@ -4,6 +4,7 @@ end to end (exit codes, formats, determinism)."""
 import io
 import json
 import random
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from fthresh import (
     FThreshError,
     MonomialIdeal,
     OrdinaryPowers,
+    SizeGuardError,
     SymbolicSquarefree,
     UnsupportedInputError,
     cli,
@@ -279,12 +281,33 @@ def test_cli_laws(capsys):
         ("nu-seq", "--ideal", "x1", "-p", "2", "--emax", "-3"),
         ("nu-seq", "--ideal", "x1", "-p", "4", "--emax", "-1"),
         ("laws", "--left", LAW_LEFT, "--right", LAW_RIGHT, "-p", "2", "--emax", "-1"),
+        # display digits below zero where no rational field is printed
+        ("newton", "--ideal", "x1^2;x2^3", "--decimal", "-2"),
     ],
 )
 def test_cli_vacuous_or_invalid_request_is_typed_error(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out)["error"]["type"] == "UnsupportedInputError"
+
+
+def test_decimal_digits_beyond_int_str_limit_are_size_guard(capsys):
+    """More display digits than Python converts between int and str is a
+    typed size guard, raised before a number of that many digits is built;
+    the limit itself still renders."""
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SizeGuardError):
+        decimal_string(F(5, 6), limit + 1)
+    code, out = run_cli(
+        capsys, "fthreshold", "--ideal", "x1^2;x2^3", "--decimal", str(limit + 1)
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "SizeGuardError"
+    code, out = run_cli(
+        capsys, "fthreshold", "--ideal", "x1^2;x2^3", "--decimal", str(limit)
+    )
+    assert code == 0
+    assert json.loads(out)["value_decimal"] == "0." + "8" + "3" * (limit - 1)
 
 
 def test_cli_parse_error_exits_1(capsys):
