@@ -67,8 +67,6 @@ __all__ = [
     "IntersectionFiltration",
     "BinomialSum",
     "symbolic_filtration",
-    "verify_filtration_axioms",
-    "AxiomReport",
     "filtration_from_json",
 ]
 
@@ -578,42 +576,6 @@ class BinomialSum(Filtration):
         return BinomialSum(
             self.left.embed(nvars, offset), self.right.embed(nvars, offset)
         )
-
-
-# ---------------------------------------------------------------------- #
-# verification reports
-# ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    ok: bool
-    levels_checked: int
-    violations: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "levels_checked": self.levels_checked,
-            "violations": list(self.violations),
-        }
-
-
-def verify_filtration_axioms(filtration: Filtration, r_max: int) -> AxiomReport:
-    """Finite check of the filtration axioms up to level r_max:
-    a_0 = R, descending levels, and a_i * a_j subseteq a_{i+j}."""
-    violations: list[str] = []
-    if not filtration.level(0).is_unit():
-        violations.append("a_0 is not the unit ideal")
-    levels = [filtration.level(r) for r in range(r_max + 1)]
-    for r in range(1, r_max + 1):
-        if not levels[r - 1].contains_ideal(levels[r]):
-            violations.append(f"a_{r} is not contained in a_{r - 1}")
-    for i in range(1, r_max + 1):
-        for j in range(i, r_max - i + 1):
-            if not levels[i + j].contains_ideal(levels[i] * levels[j]):
-                violations.append(f"a_{i} * a_{j} not contained in a_{i + j}")
-    return AxiomReport(not violations, r_max, tuple(violations))
 
 
 # ---------------------------------------------------------------------- #

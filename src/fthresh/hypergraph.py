@@ -2,7 +2,7 @@
 
 Edge ideals, cover ideals (via minimal transversals), matchings (integral
 by branch-and-bound, fractional by exact LP), vertex covers, maximal
-independent sets, and fractional chromatic numbers (exact covering LP).
+independent sets, and fractional chromatic numbers (exact LP).
 
 The bridge identities used elsewhere:
 
@@ -159,23 +159,22 @@ def cover_ideal(h: Hypergraph) -> MonomialIdeal:
 
 
 def matching_number(h: Hypergraph) -> int:
-    """Maximum number of pairwise disjoint edges, by branch and bound."""
+    """Maximum number of pairwise disjoint edges, by branch and bound on
+    an explicit stack (so no edge count meets the recursion limit)."""
     edges = sorted(h.edges, key=len)
     best = 0
-
-    def extend(idx: int, used: frozenset[int], size: int) -> None:
-        nonlocal best
+    stack = [(0, frozenset(), 0)]  # (next edge, covered vertices, size)
+    while stack:
+        idx, used, size = stack.pop()
         if size + (len(edges) - idx) <= best:
-            return
+            continue
         if idx == len(edges):
-            best = max(best, size)
-            return
+            best = size
+            continue
         e = edges[idx]
+        stack.append((idx + 1, used, size))  # without e, searched second
         if not (e & used):
-            extend(idx + 1, used | e, size + 1)
-        extend(idx + 1, used, size)
-
-    extend(0, frozenset(), 0)
+            stack.append((idx + 1, used | e, size + 1))
     return best
 
 
@@ -214,8 +213,10 @@ def maximal_independent_sets(h: Hypergraph) -> list[frozenset[int]]:
 
 
 def fractional_chromatic(h: Hypergraph) -> Fraction:
-    """chi_f: exact covering LP over maximal independent sets,
-    min sum z_S with sum_{S containing v} z_S >= 1 for every vertex."""
+    """chi_f = 1 / t* for the exact LP over maximal independent sets
+    max t s.t. t - sum_{S containing v} z_S <= 0 for every vertex v and
+    sum z <= 1: z / t is a fractional coloring of weight at most 1 / t,
+    so t* = 1 / min { sum z : sum_{S containing v} z_S >= 1 }."""
     if h.n == 0:
         return Fraction(0)
     for e in h.edges:
@@ -224,11 +225,10 @@ def fractional_chromatic(h: Hypergraph) -> Fraction:
                 f"vertex {min(e)} forms a singleton edge; no proper coloring exists"
             )
     sets = maximal_independent_sets(h)
-    constraints = []
-    for v in range(h.n):
-        row = [1 if v in s else 0 for s in sets]
-        constraints.append((row, ">=", 1))
-    return _lp_optimum([1] * len(sets), constraints, "min")
+    # variables (z_S for each set S, t)
+    constraints = [([-int(v in s) for s in sets] + [1], "<=", 0) for v in range(h.n)]
+    constraints.append(([1] * len(sets) + [0], "<=", 1))
+    return 1 / _lp_optimum([0] * len(sets) + [1], constraints, "max")
 
 
 def _lp_optimum(objective, constraints, sense: str) -> Fraction:

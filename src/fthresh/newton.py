@@ -12,11 +12,11 @@ integer normalization, exactly the monomial Rees valuations of I:
   maximal ideal is min over essential facets of <normal, (1,..,1)>/offset.
 
 The threshold never needs the facets: `threshold_lp` solves one LP, the
-valuation LP max { t : <v, g> >= t for all generators g, sum v = 1, v >= 0 },
-whose optimum is s* = min { s : s*(1,..,1) in NP(I) }, certified by
-`solve_lp`; `threshold_lp` checks that its printed weights w reproduce
-s* = w(I) / w(x1..xn).  It is the only threshold route for ordinary,
-integral-closure and ceiling powers.
+valuation LP max { t : t - <v, g> <= 0 for all generators g, sum v <= 1,
+v >= 0 }, whose optimum is s* = min { s : s*(1,..,1) in NP(I) },
+certified by `solve_lp`; `threshold_lp` checks that its printed weights w
+reproduce s* = w(I) / w(x1..xn).  It is the only threshold route for
+ordinary, integral-closure and ceiling powers.
 
 Facets are enumerated only when a caller asks for them (the `rees` and
 `newton` verbs, integral-closure membership and levels).  Each choice of
@@ -258,23 +258,23 @@ def threshold_lp(ideal: MonomialIdeal) -> tuple[Fraction, FacetInequality]:
     """Exact C^m(I^bullet) together with a certifying valuation.
 
     One LP, the valuation LP
-    t* = max { t : <v, g> >= t for all generators g, sum v_j = 1, v >= 0 },
+    t* = max { t : t - <v, g> <= 0 for all generators g, sum v_j <= 1, v >= 0 },
     whose optimum is s* = min { s : s*(1,..,1) in NP(I) }; then C = 1/s*.
-    `solve_lp` certifies t*: its point gives s* >= t*, and its row
-    multipliers lam_g = -duals[g] (lam >= 0, sum lam >= 1, sum_g lam_g *
-    g_j <= t* for every j) put t*(1,..,1) in NP(I), so s* <= t*.  Checked
-    here is only the printed valuation: the primitive weights w of x[:n]
-    must give w(I) / w(1) = t*, else `InternalError`.
+    At an optimum t* > 0 the row sum v <= 1 is tight, since scaling v up
+    would raise t.  `solve_lp` certifies t*: its point gives s* >= t*, and
+    its row multipliers (lam_g = duals[g] >= 0 on the generator rows with
+    sum lam >= 1, and duals[-1] = t* on the sum row, so sum_g lam_g * g_j
+    <= t* for every j) put t*(1,..,1) in NP(I), so s* <= t*.  Checked here
+    is only the printed valuation: the primitive weights w of x[:n] must
+    give w(I) / w(1) = t*, else `InternalError`.
     """
     if ideal.is_zero() or ideal.is_unit():
         raise UnsupportedInputError("threshold needs a nonzero proper ideal")
     gens = [g.exps for g in ideal.gens]
     n = ideal.nvars
     # variables (v_1..v_n, t)
-    cons: list[tuple[list[int], str, int]] = []
-    for g in gens:
-        cons.append((list(g) + [-1], ">=", 0))
-    cons.append(([1] * n + [0], "==", 1))
+    cons = [([-e for e in g] + [1], "<=", 0) for g in gens]
+    cons.append(([1] * n + [0], "<=", 1))
     res = solve_lp([0] * n + [1], cons, sense="max")
     if res.status != "optimal":
         raise InternalError(f"threshold LP is {res.status}, not optimal")

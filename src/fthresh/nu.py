@@ -586,32 +586,3 @@ def symbolic_fsplit_witness(ideal: MonomialIdeal, p: int, e: int = 1) -> bool:
     m = MonomialIdeal.maximal(ideal.nvars)
     H = ideal.big_height()
     return not symbolic_bracket_containment(ideal, H * (q - 1), m, q)
-
-
-# ---------------------------------------------------------------------- #
-# attainment flags for the valuative criteria
-# ---------------------------------------------------------------------- #
-
-
-def threshold_attainment_report(ideal: MonomialIdeal) -> dict:
-    """Exact flags tying C^m(I^bullet) to the two distinguished bounds:
-    C = n/alpha iff (x1..xn)^alpha lies in the closure of I^n, and
-    C = height iff x1..xn lies in the closure of I^height."""
-    from .newton import integral_closure_contains
-
-    n = ideal.nvars
-    value = _exact_value(fthreshold_ordinary(ideal))
-    alpha = ideal.alpha()
-    ht = ideal.height()
-    ones = Monomial([1] * n)
-    return {
-        "threshold": value,
-        "n_over_alpha": Fraction(n, alpha),
-        "height": ht,
-        "attains_n_over_alpha": value == Fraction(n, alpha),
-        "product_power_in_closure": integral_closure_contains(
-            ideal, n, ones.power(alpha)
-        ),
-        "attains_height": value == Fraction(ht),
-        "product_in_height_closure": integral_closure_contains(ideal, ht, ones),
-    }

@@ -20,14 +20,16 @@ from fthresh import (
     IntegralClosurePowers,
     LPResult,
     IntersectionFiltration,
+    Monomial,
     MonomialIdeal,
     OrdinaryPowers,
     PrimePowerIntersection,
     ProductFiltration,
     SymbolicSquarefree,
     filtration_from_json,
+    fthreshold_ordinary,
+    integral_closure_contains,
     lp,
-    solve_lp,
     vertex_cover_number,
 )
 from fthresh.errors import AmbientMismatchError, InternalError, UnsupportedInputError
@@ -283,6 +285,54 @@ def is_admissible_witness(
     return AdmissibilityReport(not failures, h, c, k, tuple(failures))
 
 
+@dataclass(frozen=True)
+class AxiomReport:
+    ok: bool
+    levels_checked: int
+    violations: tuple[str, ...]
+
+
+def verify_filtration_axioms(filtration: Filtration, r_max: int) -> AxiomReport:
+    """Finite check of the filtration axioms up to level r_max:
+    a_0 = R, descending levels, and a_i * a_j subseteq a_{i+j}."""
+    violations: list[str] = []
+    if not filtration.level(0).is_unit():
+        violations.append("a_0 is not the unit ideal")
+    levels = [filtration.level(r) for r in range(r_max + 1)]
+    for r in range(1, r_max + 1):
+        if not levels[r - 1].contains_ideal(levels[r]):
+            violations.append(f"a_{r} is not contained in a_{r - 1}")
+    for i in range(1, r_max + 1):
+        for j in range(i, r_max - i + 1):
+            if not levels[i + j].contains_ideal(levels[i] * levels[j]):
+                violations.append(f"a_{i} * a_{j} not contained in a_{i + j}")
+    return AxiomReport(not violations, r_max, tuple(violations))
+
+
+def threshold_attainment_report(ideal: MonomialIdeal) -> dict:
+    """Exact flags tying C^m(I^bullet) to the two distinguished bounds:
+    C = n/alpha iff (x1..xn)^alpha lies in the closure of I^n, and
+    C = height iff x1..xn lies in the closure of I^height."""
+    n = ideal.nvars
+    res = fthreshold_ordinary(ideal)
+    if res.kind != "exact":
+        raise InternalError(f"threshold of {ideal} is {res.kind}, not exact")
+    alpha = ideal.alpha()
+    ht = ideal.height()
+    ones = Monomial([1] * n)
+    return {
+        "threshold": res.value,
+        "n_over_alpha": Fraction(n, alpha),
+        "height": ht,
+        "attains_n_over_alpha": res.value == Fraction(n, alpha),
+        "product_power_in_closure": integral_closure_contains(
+            ideal, n, ones.power(alpha)
+        ),
+        "attains_height": res.value == Fraction(ht),
+        "product_in_height_closure": integral_closure_contains(ideal, ht, ones),
+    }
+
+
 def general_path_nu(
     filtration: Filtration, target: MonomialIdeal, p: int, e: int
 ) -> tuple[str, int | None]:
@@ -357,7 +407,7 @@ def pruned_facets(ideal: MonomialIdeal) -> tuple[FacetInequality, ...]:
     rays whose nonnegative normal supports all generators at a positive
     offset min <v, g> is a candidate (tight at its own points or not);
     then each candidate implied by the others and x >= 0 is dropped with
-    one exact LP."""
+    one exact LP, solved by `fraction_minimize`."""
     n = ideal.nvars
     gens = [g.exps for g in ideal.gens]
     candidates: dict[tuple[int, ...], int] = {}
@@ -388,11 +438,14 @@ def pruned_facets(ideal: MonomialIdeal) -> tuple[FacetInequality, ...]:
     i = 0
     while i < len(kept):
         f = kept[i]
-        others = [(list(g.normal), ">=", g.offset) for g in kept if g is not f]
-        res = solve_lp(list(f.normal), others, sense="min")
+        others = [g for g in kept if g is not f]
+        # min { <f, x> : <g, x> >= g.offset for the others, x >= 0 }, posed as
+        # its dual max { sum_g y_g * g.offset : sum_g y_g * g <= f, y >= 0 }
+        dual = [([g.normal[j] for g in others], "<=", f.normal[j]) for j in range(n)]
+        res = fraction_minimize([Fraction(-g.offset) for g in others], dual)
         if res.status != "optimal":
             raise AssertionError(f"pruning LP is {res.status}")
-        if res.value >= f.offset:
+        if -res.value >= f.offset:
             kept.pop(i)
         else:
             i += 1
@@ -400,9 +453,12 @@ def pruned_facets(ideal: MonomialIdeal) -> tuple[FacetInequality, ...]:
 
 
 def fraction_minimize(c: list[Fraction], constraints) -> LPResult:
-    """The retired dense `Fraction` two-phase simplex with Bland's rule,
-    kept as the oracle of `lp._minimize`: the same pivots on rationals, so
-    the same status, value, vertex and duals."""
+    """The retired dense `Fraction` two-phase simplex with Bland's rule.
+    On "<=" rows with rhs >= 0 it runs no phase 1 and takes the pivots of
+    `lp._minimize` on rationals, so it is that solver's oracle (the same
+    status, value, vertex and duals).  The brute-force oracles solve their
+    LPs with it, so they do not lean on the solver under test; it also
+    takes ">=" and "==" rows, which `solve_lp` does not."""
     n = len(c)
     rows: list[list[Fraction]] = []
     rels: list[str] = []

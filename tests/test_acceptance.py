@@ -6,7 +6,13 @@ import random
 from fractions import Fraction
 from math import ceil, floor
 
-from conftest import clique_number, is_chordal, random_ideal, random_squarefree_ideal
+from conftest import (
+    clique_number,
+    is_chordal,
+    random_ideal,
+    random_squarefree_ideal,
+    verify_filtration_axioms,
+)
 
 from fthresh import (
     BinomialSum,
@@ -35,7 +41,6 @@ from fthresh import (
     newton_polyhedron,
     nu_sequence,
     nu_value,
-    verify_filtration_axioms,
 )
 
 F = Fraction

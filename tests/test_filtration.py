@@ -23,7 +23,6 @@ from fthresh import (
     UnsupportedSymbolicPowerError,
     filtration_from_json,
     symbolic_filtration,
-    verify_filtration_axioms,
 )
 from fthresh.filtration import MAX_DEPTH
 
@@ -33,6 +32,7 @@ from conftest import (
     random_filtration,
     random_ideal,
     random_squarefree_ideal,
+    verify_filtration_axioms,
 )
 
 F = Fraction

@@ -213,6 +213,12 @@ def test_matching_cover_independence_against_brute_force(rng):
             assert F(nu) <= nu_f <= F(tau)
 
 
+def test_matching_number_of_a_large_star_needs_no_recursion():
+    """The branch and bound runs on an explicit stack: a star with 1,100
+    leaves, more edges than the recursion limit, has matching number 1."""
+    assert matching_number(Hypergraph(1101, [(0, i) for i in range(1, 1101)])) == 1
+
+
 def test_fractional_matching_known_values():
     assert fractional_matching_number(C5) == F(5, 2)
     assert fractional_matching_number(K4) == 2

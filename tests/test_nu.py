@@ -46,9 +46,14 @@ from fthresh import (
 from fthresh import newton
 from fthresh.hypergraph import Hypergraph, edge_ideal
 from fthresh.cli import main
-from fthresh.nu import threshold_attainment_report
 
-from conftest import corrupt_simplex, general_path_nu, random_filtration, random_ideal
+from conftest import (
+    corrupt_simplex,
+    general_path_nu,
+    random_filtration,
+    random_ideal,
+    threshold_attainment_report,
+)
 
 F = Fraction
 xy = MonomialIdeal.from_exponents

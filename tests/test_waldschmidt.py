@@ -21,10 +21,9 @@ from fthresh import (
     filtration_from_json,
     newton_polyhedron,
     skew_waldschmidt,
-    solve_lp,
 )
 
-from conftest import random_ideal
+from conftest import fraction_minimize, random_ideal
 
 F = Fraction
 xy = MonomialIdeal.from_exponents
@@ -88,9 +87,10 @@ def test_integral_closure_newton_lp():
 
 def _facet_lp_vhat(weights, ideal):
     """The retired route, kept as an oracle: min <w, x> over the Newton
-    polyhedron given by its essential facets."""
+    polyhedron given by its essential facets, a ">=" LP solved by the
+    two-phase `fraction_minimize`."""
     cons = [(list(f.normal), ">=", f.offset) for f in newton_polyhedron(ideal).essential]
-    res = solve_lp(list(weights), cons, sense="min")
+    res = fraction_minimize(list(weights), cons)
     assert res.status == "optimal"
     return res.value
 
